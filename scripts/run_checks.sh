@@ -7,11 +7,14 @@
 #      thread-safety analysis sees every acquisition.
 #   2. Escape-hatch budget: at most 5 NO_THREAD_SAFETY_ANALYSIS uses in src/,
 #      each carrying a justification comment on the same or preceding line.
-#   3. Clang thread-safety analysis: build the tidy preset with
+#   3. Time gate: no raw sleep / clock / entropy primitive outside
+#      src/common/, and no busy-wait on modelled latency anywhere in src/
+#      (PreciseDelayMicros, empty-bodied `while (NowMicros() < ...)` loops).
+#   4. Clang thread-safety analysis: build the tidy preset with
 #      -Wthread-safety -Wthread-safety-beta as errors. Loud skip when clang
 #      is not installed (gcc-only containers).
-#   4. clang-tidy lint (scripts/run_lint.sh; loud skip without clang-tidy).
-#   5. Lockdep soak: debug build (NDEBUG unset => runtime lock-order checker
+#   5. clang-tidy lint (scripts/run_lint.sh; loud skip without clang-tidy).
+#   6. Lockdep soak: debug build (NDEBUG unset => runtime lock-order checker
 #      compiled in), full ctest suite plus the seeded chaos soak. Any cycle
 #      in the lock-order graph aborts with both acquisition stacks.
 #
@@ -79,7 +82,25 @@ if [[ -n "$time_hits" ]]; then
   echo "Use ray::NowMicros / ray::SleepMicros / ray::Rng so DST can hook them." >&2
   exit 1
 fi
-echo "OK: all time and entropy flows through the hookable seams in src/common/"
+# Modelled latency costs time, not CPU (DESIGN.md "Modelled latency"): no
+# PreciseDelayMicros, and no empty-bodied `while (NowMicros() < ...)` spin
+# anywhere in src/, src/common/ included. A spin burns the CPU the benchmark
+# charges to the runtime, and never ends on DST's frozen virtual clock.
+spin_hits=$({
+  grep -rn 'PreciseDelayMicros' src/ --include='*.h' --include='*.cc' || true
+  find src/ \( -name '*.h' -o -name '*.cc' \) -exec perl -0777 -ne '
+    while (/while\s*\(\s*NowMicros\(\)\s*<[^;{]*\)\s*(\{\s*\}|;)/g) {
+      my $line = 1 + (substr($_, 0, $-[0]) =~ tr/\n//);
+      print "$ARGV:$line: empty-bodied NowMicros() wait loop\n";
+    }' {} +
+})
+if [[ -n "$spin_hits" ]]; then
+  echo "FAIL: busy-wait on modelled latency in src/:" >&2
+  echo "$spin_hits" >&2
+  echo "Charge modelled delays with ray::SleepMicros, after releasing every lock." >&2
+  exit 1
+fi
+echo "OK: all time and entropy flows through the hookable seams in src/common/, no spin waits"
 
 if [[ "$MODE" == "quick" ]]; then
   echo "run_checks: quick mode — grep gates passed (run without 'quick' for the full bar)"

@@ -21,7 +21,7 @@ void RestServingModel::ChargeTransferCosts(size_t payload_bytes) const {
   int64_t serialize_us =
       static_cast<int64_t>(2.0 * static_cast<double>(payload_bytes) / cost_.serialize_bytes_per_sec * 1e6);
   int64_t socket_us = static_cast<int64_t>(inflated / cost_.socket_bytes_per_sec * 1e6);
-  PreciseDelayMicros(serialize_us + socket_us + cost_.request_latency_us);
+  SleepMicros(serialize_us + socket_us + cost_.request_latency_us);
 }
 
 std::vector<float> RestServingModel::Evaluate(const std::vector<float>& states, int batch) {
@@ -39,7 +39,7 @@ std::vector<float> RestServingModel::Evaluate(const std::vector<float>& states, 
     std::vector<float> a = model_.Forward(state);
     std::copy(a.begin(), a.end(), actions.begin() + static_cast<size_t>(b) * out);
   }
-  PreciseDelayMicros(extra_eval_us_);
+  SleepMicros(extra_eval_us_);
   // Response path.
   ChargeTransferCosts(actions.size() * sizeof(float));
   return actions;

@@ -28,6 +28,9 @@ inline int64_t NowMicros() {
 
 inline double NowSeconds() { return static_cast<double>(NowMicros()) / 1e6; }
 
+// Also the one way to charge a modelled delay (chain hop, control RPC, disk
+// read, accelerator time): it costs time, not CPU. Callers release every lock
+// first — a fiber must not park holding one (common/fiber.h).
 inline void SleepMicros(int64_t us) {
   if (us <= 0) {
     return;
@@ -59,26 +62,6 @@ class Timer {
  private:
   int64_t start_;
 };
-
-// Busy-spin for very short simulated delays where sleep granularity would
-// distort sub-100us measurements; falls back to sleeping for longer waits.
-inline void PreciseDelayMicros(int64_t us) {
-  if (us <= 0) {
-    return;
-  }
-  if (dst::VirtualTimeActive()) {
-    // Spinning on a frozen virtual clock would never terminate (the carrier
-    // only advances it while this fiber is parked); sleep logically instead.
-    SleepMicros(us);
-    return;
-  }
-  int64_t deadline = NowMicros() + us;
-  if (us > 200) {
-    SleepMicros(us - 100);  // coarse sleep, then spin the remainder
-  }
-  while (NowMicros() < deadline) {
-  }
-}
 
 }  // namespace ray
 

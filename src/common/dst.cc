@@ -412,18 +412,19 @@ int64_t ToBaseDeadlineMicros(int64_t domain_deadline_us) {
 }
 
 void HookedSleepMicros(int64_t us) {
-  // Re-check the hooked clock in short real slices: under virtual time the
-  // carrier advances it; under skew the slicing tracks drift exactly.
+  // Re-check the hooked clock in short real slices (at most the time left,
+  // so a short modelled delay is not stretched to a whole slice): under
+  // virtual time the carrier advances it; under skew the slicing tracks
+  // drift exactly.
   const int64_t deadline = HookedNowMicros() + us;
-  while (HookedNowMicros() < deadline) {
-    std::this_thread::sleep_for(std::chrono::microseconds(200));
+  for (int64_t left = deadline - HookedNowMicros(); left > 0;
+       left = deadline - HookedNowMicros()) {
+    std::this_thread::sleep_for(std::chrono::microseconds(std::min<int64_t>(left, 200)));
     if (!TimeHooksActive()) {
       return;  // hooks were torn down mid-sleep (run/test ended)
     }
   }
 }
-
-bool VirtualTimeActive() { return g_virtual.load(std::memory_order_relaxed); }
 
 void AdvanceVirtualBaseTo(int64_t base_us) {
   int64_t cur = g_vnow.load(std::memory_order_relaxed);

@@ -222,7 +222,6 @@ void HookedSleepMicros(int64_t us);
 // fiber timer heap runs on. Identity when hooks are off.
 int64_t ToBaseDeadlineMicros(int64_t domain_deadline_us);
 
-bool VirtualTimeActive();
 // Carrier only: jump the virtual base clock forward (never backward).
 void AdvanceVirtualBaseTo(int64_t base_us);
 

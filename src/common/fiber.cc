@@ -324,6 +324,11 @@ void Yield() {
 bool ParkUntil(int64_t deadline_us) {
   Fiber* f = tl_carrier.current;
   RAY_CHECK(f != nullptr) << "ParkUntil off-fiber";
+  if (!dst::OnDstCarrier()) {
+    // The blocking rule (fiber.h). DST fibers are exempt: their cooperative
+    // lock acquisition parks while holding outer locks by design.
+    lockdep::BeforePark();
+  }
   uint64_t epoch = f->park_epoch_.fetch_add(1) + 1;
   int st = Fiber::kRunning;
   if (!f->park_state_.compare_exchange_strong(st, Fiber::kParking)) {
@@ -782,8 +787,12 @@ void FiberScheduler::Impl::DstCarrierMain() {
           exit = true;
           break;
         }
-        // Idle: waiting for the driver's root spawn or Shutdown.
-        queue_cv.WaitFor(queue_mu, std::chrono::milliseconds(5));
+        // Idle: waiting for RunOnce's root spawn or Shutdown, both of
+        // which change the state checked above under queue_mu and notify.
+        // Untimed: a timed wait here would wait on the frozen virtual clock
+        // in real slices, and a notify landing while a slice's timeout is
+        // reacquiring queue_mu would be lost for good.
+        queue_cv.Wait(queue_mu);
       }
     }
     while (!due.empty()) {
@@ -849,10 +858,14 @@ void FiberScheduler::Shutdown() {
     return;
   }
   {
+    // Notify under queue_mu: with time hooks active, a carrier's timed wait
+    // (CondVar::WaitUntilMicros) re-waits between real slices without
+    // re-checking `stop`, and a notify sent after the unlock can fall
+    // between two slices and be lost.
     MutexLock lock(im.queue_mu);
     im.stop = true;
+    im.queue_cv.NotifyAll();
   }
-  im.queue_cv.NotifyAll();
   for (std::thread& t : im.carriers) {
     t.join();
   }
@@ -896,8 +909,8 @@ std::shared_ptr<Fiber> FiberScheduler::Spawn(std::function<void()> body, Priorit
            !im.peak_resident.compare_exchange_weak(peak, now_resident)) {
     }
     im.runq[static_cast<int>(priority)].push_back(f.get());
+    im.queue_cv.NotifyOne();  // under queue_mu, as in Shutdown
   }
-  im.queue_cv.NotifyOne();
   return f;
 }
 

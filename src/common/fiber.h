@@ -36,6 +36,10 @@
 // per-carrier-thread, and a fiber that migrates mid-critical-section would
 // leave it inconsistent (and deadlock real code anyway). Plain Mutex
 // critical sections never park, so Lock/Unlock always pair on one carrier.
+// Debug builds check the rule: ParkUntil raises a lockdep report when the
+// carrier's held-lock stack is non-empty (DST fibers, whose cooperative lock
+// acquisition parks by design, are exempt). Modelled delays (SleepMicros)
+// park too, so they are charged only after every lock is released.
 //
 // Sanitizers: stacks are registered with ASan via
 // __sanitizer_start_switch_fiber / __sanitizer_finish_switch_fiber around
@@ -157,8 +161,8 @@ class WaitQueue {
 
 struct SchedulerOptions {
   // Carrier threads. 0 = max(2, hardware_concurrency). Two minimum so a
-  // fiber that blocks a carrier natively (short mutex waits, spin delays)
-  // never wedges the whole scheduler.
+  // fiber that blocks a carrier natively (short mutex waits) never wedges
+  // the whole scheduler.
   int num_carriers = 0;
   // Usable stack bytes per fiber, rounded up to the page size. 0 = 64KB
   // (256KB under ASan/TSan: redzones and shadow inflate frame sizes).

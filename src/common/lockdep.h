@@ -10,7 +10,10 @@
 //     first time an edge appears;
 //   - a new edge that closes a cycle is a potential deadlock: the checker
 //     reports the current acquisition stack plus the recorded stack of every
-//     edge on the cycle, then aborts (tests may install a handler instead).
+//     edge on the cycle, then aborts (tests may install a handler instead);
+//   - a fiber that parks while its carrier's held-lock stack is non-empty
+//     breaks the blocking rule in common/fiber.h and is reported the same
+//     way (BeforePark).
 //
 // Cost model: the held-lock stack is thread-local; a per-thread edge cache
 // means the global graph (guarded by one spin lock) is touched only the first
@@ -53,8 +56,9 @@ struct Site {
   const char* name = "ray::Mutex";
 };
 
-// Installed handler receives the full human-readable report instead of the
-// default print-and-abort. Used by tests to assert on detection.
+// Installed handler receives the full human-readable report (a cycle or a
+// park under a lock) instead of the default print-and-abort. Used by tests
+// to assert on detection.
 using CycleHandler = void (*)(const std::string& report);
 
 namespace detail {
@@ -149,6 +153,18 @@ struct Graph {
     return false;
   }
 };
+
+// Hands a finished report to the installed handler, or prints and aborts.
+inline void Report(const std::string& report) {
+  CycleHandler handler = Graph::Instance().handler.load(std::memory_order_acquire);
+  if (handler != nullptr) {
+    handler(report);
+    return;
+  }
+  std::fputs(report.c_str(), stderr);
+  std::fflush(stderr);
+  std::abort();
+}
 
 // Per-thread state. `held` is the stack of currently-held lock sites;
 // `edge_cache` short-circuits the global graph for edges this thread already
@@ -266,16 +282,30 @@ inline void BeforeAcquire(const Site& site) {
       }
     }
     if (!report.empty()) {
-      CycleHandler handler = graph.handler.load(std::memory_order_acquire);
-      if (handler != nullptr) {
-        handler(report);
-      } else {
-        std::fputs(report.c_str(), stderr);
-        std::fflush(stderr);
-        std::abort();
-      }
+      detail::Report(report);
     }
   }
+}
+
+// Called by fiber::ParkUntil. A fiber must not park holding a lock other than
+// the one its CondVar wait released (already off the held stack by then): on
+// a one-carrier node the park deadlocks every fiber that needs the lock, and
+// the fiber may resume on another carrier, leaving this thread's held stack
+// wrong.
+inline void BeforePark() {
+  const auto& held = detail::Thread().held;
+  if (held.empty()) {
+    return;
+  }
+  std::string report("lockdep: fiber parks while holding");
+  for (const Site* site : held) {
+    report.append(" \"").append(site->name).append("\"");
+  }
+  report.append("\n  park at:\n");
+  detail::Backtrace current;
+  current.Capture();
+  current.AppendTo(&report);
+  detail::Report(report);
 }
 
 // Called once the lock is actually held (blocking or successful try-lock).
@@ -317,6 +347,7 @@ inline uint64_t NumCyclesReported() { return 0; }
 inline void Register(Site*, const char*) {}
 inline void Unregister(Site*) {}
 inline void BeforeAcquire(const Site&) {}
+inline void BeforePark() {}
 inline void AfterAcquire(const Site&) {}
 inline void AfterTryAcquire(const Site&) {}
 inline void OnRelease(const Site&) {}

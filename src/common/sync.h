@@ -20,6 +20,7 @@
 #ifndef RAY_COMMON_SYNC_H_
 #define RAY_COMMON_SYNC_H_
 
+#include <algorithm>
 #include <chrono>
 #include <condition_variable>
 #include <mutex>
@@ -309,9 +310,11 @@ class CondVar {
     bool notified = false;
     if (dst::TimeHooksActive()) {
       // A native thread cannot wait on virtual/skewed time: wait in short
-      // real slices and re-check the hooked deadline between them.
-      while (NowMicros() < deadline_us) {
-        if (cv_.wait_for(native, std::chrono::milliseconds(1)) ==
+      // real slices (at most the time left, so a skewed clock still wakes
+      // on time) and re-check the hooked deadline between them.
+      for (int64_t left = deadline_us - NowMicros(); left > 0;
+           left = deadline_us - NowMicros()) {
+        if (cv_.wait_for(native, std::chrono::microseconds(std::min<int64_t>(left, 1000))) ==
             std::cv_status::no_timeout) {
           notified = true;
           break;

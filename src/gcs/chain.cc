@@ -1,5 +1,7 @@
 #include "gcs/chain.h"
 
+#include <optional>
+
 #include "common/clock.h"
 #include "common/logging.h"
 
@@ -59,23 +61,34 @@ void ChainShard::EnsureHealthyLocked() const {
   }
 }
 
-Status ChainShard::Put(const std::string& key, const std::string& value) {
+// Modelled latency: an op takes effect on every replica (or reads the tail)
+// under mu_, and its caller then waits out the hops with mu_ released — one
+// hop per replica for a write, one for a tail read. The effect still lands
+// inside the call's interval, so single-key ops stay linearizable and a
+// caller that returns has its write visible to every later read; the shard
+// lock is held only for the in-memory work, so concurrent rounds overlap the
+// way a real chain's do.
+template <typename Apply>
+size_t ChainShard::ApplyToReplicas(Apply&& apply) {
   MutexLock lock(mu_);
   EnsureHealthyLocked();
   for (auto& replica : replicas_) {
-    PreciseDelayMicros(config_.hop_latency_us);
-    replica->store.Put(key, value);
+    apply(replica->store);
   }
+  return replicas_.size();
+}
+
+void ChainShard::WaitHops(size_t hops) const {
+  SleepMicros(static_cast<int64_t>(hops) * config_.hop_latency_us);
+}
+
+Status ChainShard::Put(const std::string& key, const std::string& value) {
+  WaitHops(ApplyToReplicas([&](KvStore& store) { store.Put(key, value); }));
   return Status::Ok();
 }
 
 Status ChainShard::Append(const std::string& key, const std::string& element) {
-  MutexLock lock(mu_);
-  EnsureHealthyLocked();
-  for (auto& replica : replicas_) {
-    PreciseDelayMicros(config_.hop_latency_us);
-    replica->store.Append(key, element);
-  }
+  WaitHops(ApplyToReplicas([&](KvStore& store) { store.Append(key, element); }));
   return Status::Ok();
 }
 
@@ -83,43 +96,38 @@ Status ChainShard::ApplyBatch(const std::vector<ChainOp>& ops) {
   if (ops.empty()) {
     return Status::Ok();
   }
-  MutexLock lock(mu_);
-  EnsureHealthyLocked();
-  for (auto& replica : replicas_) {
-    PreciseDelayMicros(config_.hop_latency_us);
+  WaitHops(ApplyToReplicas([&](KvStore& store) {
     for (const ChainOp& op : ops) {
       switch (op.kind) {
         case ChainOp::Kind::kPut:
-          replica->store.Put(op.key, op.value);
+          store.Put(op.key, op.value);
           break;
         case ChainOp::Kind::kAppend:
-          replica->store.Append(op.key, op.value);
+          store.Append(op.key, op.value);
           break;
         case ChainOp::Kind::kDelete:
-          replica->store.Delete(op.key);
+          store.Delete(op.key);
           break;
       }
     }
-  }
+  }));
   return Status::Ok();
 }
 
 Result<uint64_t> ChainShard::Increment(const std::string& key) {
-  MutexLock lock(mu_);
-  EnsureHealthyLocked();
   uint64_t value = 0;
-  for (auto& replica : replicas_) {
-    PreciseDelayMicros(config_.hop_latency_us);
-    value = replica->store.Increment(key);
-  }
+  WaitHops(ApplyToReplicas([&](KvStore& store) { value = store.Increment(key); }));
   return value;
 }
 
 Result<std::string> ChainShard::Get(const std::string& key) const {
-  MutexLock lock(mu_);
-  EnsureHealthyLocked();
-  PreciseDelayMicros(config_.hop_latency_us);
-  auto v = replicas_.back()->store.Get(key);
+  std::optional<std::string> v;
+  {
+    MutexLock lock(mu_);
+    EnsureHealthyLocked();
+    v = replicas_.back()->store.Get(key);
+  }
+  WaitHops(1);
   if (!v) {
     return Status::KeyNotFound(key);
   }
@@ -127,10 +135,13 @@ Result<std::string> ChainShard::Get(const std::string& key) const {
 }
 
 Result<std::vector<std::string>> ChainShard::GetList(const std::string& key) const {
-  MutexLock lock(mu_);
-  EnsureHealthyLocked();
-  PreciseDelayMicros(config_.hop_latency_us);
-  auto v = replicas_.back()->store.GetList(key);
+  std::optional<std::vector<std::string>> v;
+  {
+    MutexLock lock(mu_);
+    EnsureHealthyLocked();
+    v = replicas_.back()->store.GetList(key);
+  }
+  WaitHops(1);
   if (!v) {
     return Status::KeyNotFound(key);
   }
@@ -138,12 +149,7 @@ Result<std::vector<std::string>> ChainShard::GetList(const std::string& key) con
 }
 
 Status ChainShard::Delete(const std::string& key) {
-  MutexLock lock(mu_);
-  EnsureHealthyLocked();
-  for (auto& replica : replicas_) {
-    PreciseDelayMicros(config_.hop_latency_us);
-    replica->store.Delete(key);
-  }
+  WaitHops(ApplyToReplicas([&](KvStore& store) { store.Delete(key); }));
   return Status::Ok();
 }
 

@@ -85,6 +85,13 @@ class ChainShard {
   // simulated delays, reacquiring before return).
   void EnsureHealthyLocked() const REQUIRES(mu_);
 
+  // Runs `apply` on every replica's store, head to tail, under mu_ on a
+  // healthy chain; returns the number of replicas (the round's hop count).
+  template <typename Apply>
+  size_t ApplyToReplicas(Apply&& apply) EXCLUDES(mu_);
+  // Charges `hops` modelled hop latencies. Called with mu_ released.
+  void WaitHops(size_t hops) const EXCLUDES(mu_);
+
   ChainConfig config_;
   mutable Mutex mu_{"ChainShard.mu"};
   mutable CondVar cv_;

@@ -2,7 +2,6 @@
 
 #include <functional>
 
-#include "common/clock.h"
 #include "common/logging.h"
 #include "common/metrics.h"
 #include "trace/trace.h"
@@ -12,12 +11,8 @@ namespace gcs {
 
 // --- ShardBatcher -----------------------------------------------------------
 
-Gcs::ShardBatcher::ShardBatcher(ChainShard* shard, PubSub* pubsub, int max_ops,
-                                int64_t linger_us)
-    : shard_(shard),
-      pubsub_(pubsub),
-      max_ops_(static_cast<size_t>(max_ops)),
-      linger_us_(linger_us) {
+Gcs::ShardBatcher::ShardBatcher(ChainShard* shard, PubSub* pubsub, int max_ops)
+    : shard_(shard), pubsub_(pubsub), max_ops_(static_cast<size_t>(max_ops)) {
   flusher_ = std::thread([this] { FlusherLoop(); });
 }
 
@@ -65,12 +60,6 @@ void Gcs::ShardBatcher::FlusherLoop() {
     }
     if (queue_.empty()) {
       return;  // shutdown with nothing pending
-    }
-    if (linger_us_ > 0 && queue_.size() < max_ops_ && !shutdown_) {
-      // Give concurrent writers a short window to join this round.
-      lock.Unlock();
-      SleepMicros(linger_us_);
-      lock.Lock();
     }
     batch.clear();
     ops.clear();
@@ -137,8 +126,8 @@ Gcs::Gcs(const GcsConfig& config) : config_(config) {
   pubsub_ = std::make_unique<PubSub>(config_.pubsub_buckets, config_.publish_workers);
   if (config_.batch_max_ops > 1) {
     for (auto& shard : shards_) {
-      batchers_.push_back(std::make_unique<ShardBatcher>(
-          shard.get(), pubsub_.get(), config_.batch_max_ops, config_.batch_linger_us));
+      batchers_.push_back(
+          std::make_unique<ShardBatcher>(shard.get(), pubsub_.get(), config_.batch_max_ops));
     }
   }
 }

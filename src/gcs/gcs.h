@@ -44,10 +44,6 @@ struct GcsConfig {
   // group commit: every write runs its own round on the caller's thread (the
   // seed behavior).
   int batch_max_ops = 256;
-  // How long the batcher lingers after the first write of a round to let
-  // more writers join. 0 = commit whatever queued while the previous round
-  // ran (batching emerges under contention, no added latency when idle).
-  int64_t batch_linger_us = 0;
   // Subscriber registry buckets (reader-writer locked).
   int pubsub_buckets = 16;
   // Async publish workers; all events for one key hash to one worker, which
@@ -119,7 +115,7 @@ class Gcs {
   // publishes Put/Append ops in commit order and wakes the writers.
   class ShardBatcher {
    public:
-    ShardBatcher(ChainShard* shard, PubSub* pubsub, int max_ops, int64_t linger_us);
+    ShardBatcher(ChainShard* shard, PubSub* pubsub, int max_ops);
     ~ShardBatcher();
 
     Status Execute(ChainOp op, bool publish);
@@ -144,7 +140,6 @@ class Gcs {
     ChainShard* shard_;
     PubSub* pubsub_;
     size_t max_ops_;
-    int64_t linger_us_;
 
     Mutex mu_{"Gcs.ShardBatcher.mu"};
     CondVar work_cv_;

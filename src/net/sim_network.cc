@@ -9,9 +9,7 @@
 namespace ray {
 
 SimNetwork::SimNetwork(const NetConfig& config) : config_(config) {
-  if (config_.charge_real_time) {
-    completion_thread_ = std::thread([this] { CompletionLoop(); });
-  }
+  completion_thread_ = std::thread([this] { CompletionLoop(); });
 }
 
 SimNetwork::~SimNetwork() {
@@ -24,9 +22,7 @@ SimNetwork::~SimNetwork() {
     pending_.clear();
     async_cv_.NotifyAll();
   }
-  if (completion_thread_.joinable()) {
-    completion_thread_.join();
-  }
+  completion_thread_.join();
 }
 
 int64_t SimNetwork::EstimateTransferMicros(uint64_t bytes, int streams) const {
@@ -204,11 +200,6 @@ uint64_t SimNetwork::TransferAsync(const NodeId& from, const NodeId& to, uint64_
     p.nic_to_start_us = p.nic_to_end_us - wire_us;
     p.done_us = std::max(p.nic_from_end_us, p.nic_to_end_us) + config_.latency_us;
   }
-  if (!config_.charge_real_time) {
-    // Accounting-only mode: charge virtual time, complete immediately.
-    Complete(std::move(p));
-    return token;
-  }
   {
     MutexLock lock(async_mu_);
     if (stop_) {
@@ -253,19 +244,10 @@ void SimNetwork::CompletionLoop() {
       continue;
     }
     int64_t due = due_.begin()->first;
-    int64_t now = NowMicros();
-    if (now < due) {
-      if (due - now > 300) {
-        // Coarse sleep, waking early; the tail is busy-spun for precision
-        // (mirrors PreciseDelayMicros). A newly scheduled transfer notifies
-        // the cv and re-enters this check.
-        async_cv_.WaitFor(async_mu_, std::chrono::microseconds(due - now - 200));
-      } else {
-        lock.Unlock();
-        while (NowMicros() < due) {
-        }
-        lock.Lock();
-      }
+    if (NowMicros() < due) {
+      // Wait out the wire time on the cv. A newly scheduled transfer
+      // notifies it and re-enters this check with a possibly earlier due.
+      async_cv_.WaitUntilMicros(async_mu_, due);
       continue;
     }
     uint64_t token = due_.begin()->second;
@@ -349,18 +331,15 @@ Status SimNetwork::ControlRpc(const NodeId& from, const NodeId& to) {
     }
     jitter_us = v.jitter_us;
   }
-  if (from != to && config_.charge_real_time) {
-    PreciseDelayMicros(config_.control_latency_us + jitter_us);
+  if (from != to) {
+    SleepMicros(config_.control_latency_us + jitter_us);
   }
   return Status::Ok();
 }
 
 Status SimNetwork::SchedulerHop(const NodeId& from, const NodeId& to) {
   RAY_RETURN_NOT_OK(ControlRpc(from, to));
-  int64_t extra = extra_scheduler_latency_us_.load(std::memory_order_relaxed);
-  if (extra > 0 && config_.charge_real_time) {
-    PreciseDelayMicros(extra);
-  }
+  SleepMicros(extra_scheduler_latency_us_.load(std::memory_order_relaxed));
   return Status::Ok();
 }
 

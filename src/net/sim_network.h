@@ -46,7 +46,6 @@ struct NetConfig {
   double per_stream_bandwidth_bytes_s = 1.3e9;    // single TCP stream ceiling
   int64_t control_latency_us = 30;                // control-plane RPC cost
   int64_t extra_scheduler_latency_us = 0;         // Fig. 12b ablation
-  bool charge_real_time = true;                   // false: account, don't sleep
 };
 
 class SimNetwork {
@@ -55,8 +54,8 @@ class SimNetwork {
   static constexpr uint64_t kSmallTransferBytes = 64 * 1024;
 
   // Completion callback for asynchronous transfers. Runs on the network's
-  // completion thread (or inline when charge_real_time is false), so it must
-  // be cheap and must not block — enqueue work elsewhere.
+  // completion thread, so it must be cheap and must not block — enqueue work
+  // elsewhere.
   using TransferCallback = std::function<void(Status)>;
 
   explicit SimNetwork(const NetConfig& config);
@@ -173,8 +172,7 @@ class SimNetwork {
   void ReleaseNic(const NodeId& node, int64_t start_us, int64_t end_us, int64_t now_us);
   void CompletionLoop();
   // Death-checks the endpoints, emits the per-chunk span, and runs the
-  // callback; called by the completion thread (and inline when
-  // charge_real_time is false).
+  // callback; called by the completion thread.
   void Complete(Pending&& pending);
 
   NetConfig config_;

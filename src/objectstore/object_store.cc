@@ -172,7 +172,7 @@ Result<BufferPtr> ObjectStore::GetLocal(const ObjectId& id) {
     size_t size = it->second.buffer->Size();
     trace::Span span(trace::Stage::kPromote, TaskId(), id, node_, NodeId(), size);
     lock.Unlock();
-    PreciseDelayMicros(static_cast<int64_t>(static_cast<double>(size) / config_.disk_read_bytes_per_sec * 1e6));
+    SleepMicros(static_cast<int64_t>(static_cast<double>(size) / config_.disk_read_bytes_per_sec * 1e6));
     lock.Lock();
     it = objects_.find(id);
     if (it == objects_.end()) {

@@ -28,7 +28,7 @@ std::vector<float> PolicyServer::Evaluate(std::vector<float> states, int batch) 
     std::vector<float> a = model_->Forward(state);
     std::copy(a.begin(), a.end(), actions.begin() + static_cast<size_t>(b) * out);
   }
-  PreciseDelayMicros(extra_eval_us_);
+  SleepMicros(extra_eval_us_);
   ++num_requests_;
   return actions;
 }

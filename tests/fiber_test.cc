@@ -320,6 +320,30 @@ TEST(FiberTest, BlockedGetSuspendsFiberNotCarrierThread) {
   EXPECT_GE(sched.NumParks(), 1u) << "blocked Get did not suspend the fiber";
 }
 
+// A GCS read's modelled hop is a park, not a spin: on a one-carrier
+// scheduler a ready fiber runs while the reader waits out the hop. The hop
+// is kept under 200us so that a delay which parks only for long waits, and
+// spins short ones, still fails here.
+TEST(FiberTest, GcsHopParksTheReaderNotTheCarrier) {
+  gcs::GcsConfig config;
+  config.chain.hop_latency_us = 150;
+  gcs::Gcs gcs(config);
+  ASSERT_TRUE(gcs.Put("k", "v").ok());
+  fiber::FiberScheduler sched(Carriers(1));
+  std::atomic<bool> b_ran{false};
+  std::atomic<bool> b_ran_during_get{false};
+  auto a = sched.Spawn([&] {
+    auto b = fiber::FiberScheduler::Current()->Spawn([&] { b_ran.store(true); });
+    ASSERT_NE(b, nullptr);
+    auto v = gcs.Get("k");  // B is ready to run while this read waits
+    EXPECT_TRUE(v.ok());
+    b_ran_during_get.store(b_ran.load());
+  });
+  ASSERT_NE(a, nullptr);
+  a->Join();
+  EXPECT_TRUE(b_ran_during_get.load()) << "the hop held the carrier: B ran only afterwards";
+}
+
 TEST(FiberTest, SpawnAfterShutdownReturnsNull) {
   fiber::FiberScheduler sched(Carriers(1));
   sched.Shutdown();

@@ -3,11 +3,13 @@
 // every typed table.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <thread>
 
 #include "common/clock.h"
 #include "common/metrics.h"
+#include "common/sync.h"
 #include "gcs/chain.h"
 #include "gcs/gcs.h"
 #include "gcs/kv_store.h"
@@ -148,6 +150,74 @@ TEST(ChainTest, ConcurrentClientsDuringFailure) {
     t.join();
   }
   EXPECT_EQ(errors.load(), 0) << "no client should observe an error across reconfiguration";
+}
+
+// Modelled hop latency is paid as time outside the shard lock: concurrent
+// tail reads overlap instead of queueing behind each other's hop, and every
+// op still pays all of its hops.
+TEST(ChainTest, ConcurrentReadsOverlapTheirHop) {
+  ChainConfig config;
+  config.num_replicas = 2;
+  config.hop_latency_us = 2'000;
+  ChainShard chain(config);
+  ASSERT_TRUE(chain.Put("k", "v").ok());
+  constexpr int kReaders = 8;
+  // Returns how long the 8 concurrent reads spanned, first start to last end.
+  auto read_round = [&] {
+    Notification go;
+    std::vector<int64_t> begin_us(kReaders, 0);
+    std::vector<int64_t> end_us(kReaders, 0);
+    std::vector<std::thread> readers;
+    for (int i = 0; i < kReaders; ++i) {
+      readers.emplace_back([&, i] {
+        go.Wait();
+        begin_us[i] = NowMicros();
+        auto v = chain.Get("k");
+        end_us[i] = NowMicros();
+        EXPECT_TRUE(v.ok() && *v == "v");
+      });
+    }
+    go.Notify();
+    for (auto& r : readers) {
+      r.join();
+    }
+    for (int i = 0; i < kReaders; ++i) {
+      EXPECT_GE(end_us[i] - begin_us[i], config.hop_latency_us) << "reader " << i;
+    }
+    return *std::max_element(end_us.begin(), end_us.end()) -
+           *std::min_element(begin_us.begin(), begin_us.end());
+  };
+  // Serialised on the shard lock, the reads would always span ~8 hops; an
+  // overloaded host can stretch one round's wake-ups, so take the best of 3.
+  int64_t best_us = read_round();
+  for (int round = 1; round < 3 && best_us > 3 * config.hop_latency_us; ++round) {
+    best_us = std::min(best_us, read_round());
+  }
+  EXPECT_LE(best_us, 3 * config.hop_latency_us);
+}
+
+TEST(ChainTest, WritesPayOneHopPerReplica) {
+  ChainConfig config;
+  config.num_replicas = 3;
+  config.hop_latency_us = 2'000;
+  ChainShard chain(config);
+  const int64_t round_us = config.num_replicas * config.hop_latency_us;
+  Timer t;
+  ASSERT_TRUE(chain.Put("k", "v").ok());
+  EXPECT_GE(t.ElapsedMicros(), round_us);
+  t.Reset();
+  ASSERT_TRUE(chain.ApplyBatch({{ChainOp::Kind::kPut, "a", "1"},
+                                {ChainOp::Kind::kAppend, "l", "x"},
+                                {ChainOp::Kind::kDelete, "k", ""}})
+                  .ok());
+  EXPECT_GE(t.ElapsedMicros(), round_us);
+  t.Reset();
+  auto n = chain.Increment("n");
+  EXPECT_GE(t.ElapsedMicros(), round_us);
+  ASSERT_TRUE(n.ok());
+  EXPECT_EQ(*n, 1u);
+  EXPECT_EQ(*chain.Get("a"), "1");
+  EXPECT_FALSE(chain.Contains("k"));
 }
 
 // --- sharded front-end + pub-sub ---

@@ -4,6 +4,7 @@
 // In debug builds (RAY_LOCKDEP defined) the checker must:
 //   * report a deliberate A->B / B->A inversion, with the recorded stack of
 //     the first edge and the stack of the closing acquisition;
+//   * report a fiber that parks while holding a lock;
 //   * stay silent on consistently-ordered re-acquisition, chains, try-locks,
 //     and condvar waits (which release and reacquire the held lock).
 //
@@ -248,6 +249,36 @@ TEST(LockdepTest, DestroyedLockLeavesNoConstraints) {
     MutexLock lb(b2);
     MutexLock la(a);  // would close a cycle only through the dead b's edges
   }
+  EXPECT_EQ(scope.NewCycles(), 0u);
+}
+
+// The fiber blocking rule (common/fiber.h): a fiber that parks while holding
+// a Mutex is reported; a CondVar wait, which releases its mutex before the
+// park, is not.
+TEST(LockdepTest, FiberParkWhileHoldingMutexIsReported) {
+  HandlerScope scope;
+  Mutex held{"lockdep_test.ParkHeld"};
+  CondVar cv;
+  fiber::SchedulerOptions opts;
+  opts.num_carriers = 1;
+  fiber::FiberScheduler sched(opts);
+  auto waiter = sched.Spawn([&] {
+    MutexLock lock(held);
+    cv.WaitFor(held, std::chrono::microseconds(100));
+  });
+  ASSERT_NE(waiter, nullptr);
+  waiter->Join();
+  EXPECT_TRUE(Reports().empty()) << Reports()[0];
+
+  auto sleeper = sched.Spawn([&] {
+    MutexLock lock(held);
+    SleepMicros(100);  // parks with `held` on the carrier's held stack
+  });
+  ASSERT_NE(sleeper, nullptr);
+  sleeper->Join();
+  ASSERT_EQ(Reports().size(), 1u);
+  EXPECT_NE(Reports()[0].find("fiber parks while holding"), std::string::npos) << Reports()[0];
+  EXPECT_NE(Reports()[0].find("lockdep_test.ParkHeld"), std::string::npos) << Reports()[0];
   EXPECT_EQ(scope.NewCycles(), 0u);
 }
 

@@ -88,6 +88,17 @@ TEST(SimNetworkTest, SchedulerLatencyInjection) {
   EXPECT_GE(t.ElapsedMicros(), 20'000);
 }
 
+TEST(SimNetworkTest, ControlRpcWaitsOutItsLatency) {
+  NetConfig config;
+  config.control_latency_us = 2'000;
+  SimNetwork net(config);
+  NodeId a = NodeId::FromRandom();
+  NodeId b = NodeId::FromRandom();
+  Timer t;
+  EXPECT_TRUE(net.ControlRpc(a, b).ok());
+  EXPECT_GE(t.ElapsedMicros(), config.control_latency_us);
+}
+
 // --- ObjectStore ---
 
 struct StorePair {
@@ -200,6 +211,19 @@ TEST(ObjectStoreTest, LruEvictsToDiskTierAndPromotesBack) {
   auto v = s.a.GetLocal(ids[0]);
   ASSERT_TRUE(v.ok());
   EXPECT_EQ((*v)->Data()[0], 0);
+}
+
+TEST(ObjectStoreTest, DiskTierPromotionWaitsOutTheReadTime) {
+  StorePair s(100'000);
+  ObjectId first = ObjectId::FromRandom();
+  s.a.Put(first, MakeBuffer(60'000, 1));
+  s.a.Put(ObjectId::FromRandom(), MakeBuffer(60'000, 2));  // demotes `first`
+  const double read_us = 60'000 / StorePair::Config(100'000).disk_read_bytes_per_sec * 1e6;
+  Timer t;
+  auto v = s.a.GetLocal(first);
+  ASSERT_TRUE(v.ok());
+  EXPECT_GE(t.ElapsedMicros(), static_cast<int64_t>(read_us));
+  EXPECT_EQ((*v)->Data()[0], 1);
 }
 
 TEST(ObjectStoreTest, CrashClearLosesEverything) {

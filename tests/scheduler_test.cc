@@ -271,16 +271,19 @@ TEST_F(GlobalPlacementTest, RejectsImpossibleDemand) {
 }
 
 TEST_F(GlobalPlacementTest, PrefersNodesWithAvailableResources) {
-  // Node 0 reports zero available CPU (e.g. pinned by actors); node 1 idle.
-  gcs::Heartbeat busy = schedulers_[0]->MakeHeartbeat();
-  busy.available = ResourceSet{};  // all held
-  tables_->nodes.ReportHeartbeat(schedulers_[0]->node(), busy);
+  // Node 0 has zero available CPU (here a lease holds both; in the wild,
+  // pinned actors); node 1 idle. Holding them for real, rather than faking
+  // one heartbeat, keeps node 0's own periodic heartbeat truthful mid-test.
+  auto held = schedulers_[0]->RequestLease(ResourceSet::Cpu(2));
+  ASSERT_NE(held, nullptr);
+  schedulers_[0]->ReportHeartbeat();
   schedulers_[1]->ReportHeartbeat();
   for (int trial = 0; trial < 5; ++trial) {
     auto placed = global_->replica(0).Place(MakeTask());
     ASSERT_TRUE(placed.ok());
     EXPECT_EQ(*placed, schedulers_[1]->node());
   }
+  schedulers_[0]->ReturnLease(held);
 }
 
 }  // namespace
