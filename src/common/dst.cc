@@ -13,7 +13,7 @@ namespace ray {
 namespace dst {
 
 namespace internal {
-thread_local bool tl_dst_carrier = false;
+thread_local constinit bool tl_dst_carrier = false;
 std::atomic<bool> g_time_hooks{false};
 }  // namespace internal
 

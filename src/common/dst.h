@@ -170,7 +170,11 @@ void SchedulePoint(uint32_t site = kSiteScenario);
 // ---------------------------------------------------------------------------
 
 namespace internal {
-extern thread_local bool tl_dst_carrier;
+// constinit: readers in other translation units then load the slot directly.
+// A plain extern thread_local is read through a TLS wrapper function (its
+// definition might need dynamic initialization), and UBSan reports that read
+// as a load of a null pointer, on every Mutex::Unlock.
+extern thread_local constinit bool tl_dst_carrier;
 extern std::atomic<bool> g_time_hooks;
 }  // namespace internal
 

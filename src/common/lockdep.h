@@ -13,7 +13,11 @@
 //     edge on the cycle, then aborts (tests may install a handler instead);
 //   - a fiber that parks while its carrier's held-lock stack is non-empty
 //     breaks the blocking rule in common/fiber.h and is reported the same
-//     way (BeforePark).
+//     way (BeforePark);
+//   - fibers of a deterministic-simulation run (common/dst.h) skip both
+//     checks: they interleave critical sections on one carrier and so share
+//     its held-lock stack, and the explorer reports a lock cycle itself, as
+//     a deadlock of all-parked fibers.
 //
 // Cost model: the held-lock stack is thread-local; a per-thread edge cache
 // means the global graph (guarded by one spin lock) is touched only the first

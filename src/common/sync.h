@@ -78,12 +78,15 @@ class CAPABILITY("mutex") Mutex {
   Mutex& operator=(const Mutex&) = delete;
 
   void Lock() ACQUIRE() {
-    lockdep::BeforeAcquire(site_);
     if (dst::OnDstFiber()) {
       // DST: acquisition is a choice point, and contention parks the fiber
-      // instead of blocking the single carrier (common/dst.h).
+      // instead of blocking the single carrier (common/dst.h). No lockdep
+      // order check: the carrier's fibers share its held-lock stack, so a
+      // fiber would read another fiber's hold as its own. DST reports a lock
+      // cycle itself, as a deadlock of all-parked fibers.
       dst::LockAcquire(&mu_, [](void* m) { return static_cast<std::mutex*>(m)->try_lock(); });
     } else {
+      lockdep::BeforeAcquire(site_);
       mu_.lock();
     }
     lockdep::AfterAcquire(site_);
@@ -125,11 +128,11 @@ class CAPABILITY("shared_mutex") SharedMutex {
   SharedMutex& operator=(const SharedMutex&) = delete;
 
   void Lock() ACQUIRE() {
-    lockdep::BeforeAcquire(site_);
-    if (dst::OnDstFiber()) {
+    if (dst::OnDstFiber()) {  // no order check: see Mutex::Lock
       dst::LockAcquire(&mu_,
                        [](void* m) { return static_cast<std::shared_mutex*>(m)->try_lock(); });
     } else {
+      lockdep::BeforeAcquire(site_);
       mu_.lock();
     }
     lockdep::AfterAcquire(site_);
@@ -144,11 +147,11 @@ class CAPABILITY("shared_mutex") SharedMutex {
   }
 
   void ReaderLock() ACQUIRE_SHARED() {
-    lockdep::BeforeAcquire(site_);
-    if (dst::OnDstFiber()) {
+    if (dst::OnDstFiber()) {  // no order check: see Mutex::Lock
       dst::LockAcquire(
           &mu_, [](void* m) { return static_cast<std::shared_mutex*>(m)->try_lock_shared(); });
     } else {
+      lockdep::BeforeAcquire(site_);
       mu_.lock_shared();
     }
     lockdep::AfterAcquire(site_);

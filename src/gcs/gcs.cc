@@ -92,7 +92,7 @@ void Gcs::ShardBatcher::FlusherLoop() {
     }
 
     // Async completions run here, outside mu_, so a callback may issue
-    // further GCS writes (even to this shard) without a lock cycle.
+    // further async writes (even to this shard) without a lock cycle.
     for (Slot*& slot : batch) {
       if (slot->callback) {
         slot->callback(status);
@@ -183,35 +183,38 @@ Status Gcs::Append(const std::string& key, const std::string& element) {
   return Status::Ok();
 }
 
-void Gcs::PutAsync(const std::string& key, const std::string& value, WriteCallback done) {
-  ChainOp op{ChainOp::Kind::kPut, key, value};
-  size_t index = ShardIndexFor(key);
-  if (!batchers_.empty()) {
-    batchers_[index]->ExecuteAsync(std::move(op), /*publish=*/true, std::move(done));
+void Gcs::WriteAsync(ChainOp op, WriteCallback done) {
+  if (batchers_.empty()) {
+    // Batching disabled: commit inline (the auto-flush check rides along, as
+    // in the synchronous path).
+    Status status = Write(std::move(op), /*publish=*/true);
+    if (status.ok()) {
+      MaybeAutoFlush();
+    }
+    done(status);
     return;
   }
-  // Batching disabled: commit inline (the auto-flush check rides along, as
-  // in the synchronous path).
-  Status status = Write(std::move(op), /*publish=*/true);
-  if (status.ok()) {
-    MaybeAutoFlush();
+  if (config_.flush_threshold_bytes > 0) {
+    // Same check after the commit. Flushing is in-memory work on the shards,
+    // so it may run on the flusher thread (see WriteCallback).
+    done = [this, done = std::move(done)](Status status) {
+      if (status.ok()) {
+        MaybeAutoFlush();
+      }
+      done(std::move(status));
+    };
   }
-  done(status);
+  size_t index = ShardIndexFor(op.key);
+  batchers_[index]->ExecuteAsync(std::move(op), /*publish=*/true, std::move(done));
+}
+
+void Gcs::PutAsync(const std::string& key, const std::string& value, WriteCallback done) {
+  WriteAsync({ChainOp::Kind::kPut, key, value}, std::move(done));
 }
 
 void Gcs::AppendAsync(const std::string& key, const std::string& element,
                       WriteCallback done) {
-  ChainOp op{ChainOp::Kind::kAppend, key, element};
-  size_t index = ShardIndexFor(key);
-  if (!batchers_.empty()) {
-    batchers_[index]->ExecuteAsync(std::move(op), /*publish=*/true, std::move(done));
-    return;
-  }
-  Status status = Write(std::move(op), /*publish=*/true);
-  if (status.ok()) {
-    MaybeAutoFlush();
-  }
-  done(status);
+  WriteAsync({ChainOp::Kind::kAppend, key, element}, std::move(done));
 }
 
 Result<std::string> Gcs::Get(const std::string& key) const { return ShardFor(key).Get(key); }

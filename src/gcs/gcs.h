@@ -64,11 +64,17 @@ class Gcs {
   // Asynchronous writes: enqueue the op into the shard's group-commit round
   // and return immediately; `done(status)` runs after the chain round commits
   // and the publish has been queued, on the batcher's flusher thread (outside
-  // every batcher lock, so the callback may issue further GCS writes). When
-  // batching is disabled (batch_max_ops <= 1) the write commits inline on the
-  // caller's thread and `done` runs before the call returns. These are the
-  // backbone of the async lineage path: submitters fire-and-count, and a
-  // durability watermark advances in the callbacks.
+  // every batcher lock). When batching is disabled (batch_max_ops <= 1) the
+  // write commits inline on the caller's thread and `done` runs before the
+  // call returns. These are the backbone of the async lineage path and of
+  // task completion: submitters fire-and-count, a durability watermark
+  // advances in the callbacks, and a finished task's kDone, seal and
+  // location publish run as a chain of them.
+  //
+  // A callback may only do in-memory work and issue further *Async writes.
+  // It must never make a synchronous GCS call (Put, Append, Get, ...): that
+  // waits on another shard's flusher, which may itself be running a callback
+  // that waits on this one, and the two flushers then deadlock.
   using WriteCallback = std::function<void(Status)>;
   void PutAsync(const std::string& key, const std::string& value, WriteCallback done);
   void AppendAsync(const std::string& key, const std::string& element, WriteCallback done);
@@ -121,7 +127,7 @@ class Gcs {
     Status Execute(ChainOp op, bool publish);
     // Fire-and-forget variant: the slot is heap-owned and `done` is invoked
     // on the flusher thread outside mu_ once the batch commits (so callbacks
-    // can re-enter the GCS without a lock cycle).
+    // can issue further async writes without a lock cycle).
     void ExecuteAsync(ChainOp op, bool publish, std::function<void(Status)> done);
 
    private:
@@ -156,6 +162,8 @@ class Gcs {
   // Routes a write through the shard's batcher (or directly when batching is
   // disabled), publishing after commit if `publish`.
   Status Write(ChainOp op, bool publish);
+  // Async counterpart for PutAsync/AppendAsync (always publishes).
+  void WriteAsync(ChainOp op, WriteCallback done);
   void MaybeAutoFlush();
   bool IsFlushable(const std::string& key) const;
 

@@ -38,6 +38,11 @@ Status ObjectTable::AddLocation(const ObjectId& object, const NodeId& node, uint
   return gcs_->Append(ObjLocKey(object), LocationRecord('+', node, size_bytes));
 }
 
+void ObjectTable::AddLocationAsync(const ObjectId& object, const NodeId& node,
+                                   uint64_t size_bytes, Gcs::WriteCallback done) {
+  gcs_->AppendAsync(ObjLocKey(object), LocationRecord('+', node, size_bytes), std::move(done));
+}
+
 Status ObjectTable::RemoveLocation(const ObjectId& object, const NodeId& node) {
   return gcs_->Append(ObjLocKey(object), LocationRecord('-', node, 0));
 }

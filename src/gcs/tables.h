@@ -33,6 +33,10 @@ class ObjectTable {
   };
 
   Status AddLocation(const ObjectId& object, const NodeId& node, uint64_t size_bytes);
+  // Async variant for task completion: returns immediately, `done(status)`
+  // runs once the record commits (see Gcs::WriteCallback for its context).
+  void AddLocationAsync(const ObjectId& object, const NodeId& node, uint64_t size_bytes,
+                        Gcs::WriteCallback done);
   Status RemoveLocation(const ObjectId& object, const NodeId& node);
   // KeyNotFound if the object has never been recorded; an entry with zero
   // locations means all copies were lost (triggers reconstruction).
@@ -74,8 +78,8 @@ class TaskTable {
   Status SetState(const TaskId& task, TaskState state, const NodeId& node);
   Result<std::pair<TaskState, NodeId>> GetState(const TaskId& task) const;
 
-  // Async variants for the lineage buffer (fire-and-count; durability is
-  // tracked by the caller through the completion callbacks).
+  // Async variants for the lineage buffer and task completion (durability
+  // is tracked by the caller through the completion callbacks).
   void AddTaskAsync(const TaskId& task, const std::string& spec_bytes, Gcs::WriteCallback done);
   void SetStateAsync(const TaskId& task, TaskState state, const NodeId& node,
                      Gcs::WriteCallback done);

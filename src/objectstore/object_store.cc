@@ -129,36 +129,48 @@ void ObjectStore::EvictLocked(size_t target) {
   }
 }
 
+bool ObjectStore::SealLocal(const ObjectId& id, const BufferPtr& buffer) {
+  size_t size = buffer->Size();
+  WriterMutexLock lock(mu_);
+  if (objects_.count(id) > 0) {
+    return false;
+  }
+  if (size > config_.capacity_bytes) {
+    // Larger than the whole memory tier: admit straight to disk instead of
+    // evicting everything and still blowing the budget.
+    objects_.emplace(id, Slot{buffer, true, lru_.end()});
+  } else {
+    if (used_bytes_ + size > config_.capacity_bytes) {
+      EvictLocked(config_.capacity_bytes - size);
+    }
+    lru_.push_front(id);
+    objects_.emplace(id, Slot{buffer, false, lru_.begin()});
+    used_bytes_ += size;
+  }
+  bytes_written_.Add(size);
+  objects_written_.Add(1);
+  return true;
+}
+
 Status ObjectStore::Put(const ObjectId& id, BufferPtr buffer) {
   RAY_CHECK(buffer != nullptr);
-  size_t size = buffer->Size();
-  trace::Span span(trace::Stage::kPut, TaskId(), id, node_, NodeId(), size);
-  {
-    WriterMutexLock lock(mu_);
-    auto it = objects_.find(id);
-    if (it != objects_.end()) {
-      // Objects are immutable: re-putting the same id is a no-op (idempotent
-      // re-execution after failures produces identical values).
-      return Status::Ok();
-    }
-    if (size > config_.capacity_bytes) {
-      // Larger than the whole memory tier: admit straight to disk instead of
-      // evicting everything and still blowing the budget.
-      objects_.emplace(id, Slot{std::move(buffer), true, lru_.end()});
-    } else {
-      if (used_bytes_ + size > config_.capacity_bytes) {
-        EvictLocked(config_.capacity_bytes - size);
-      }
-      lru_.push_front(id);
-      objects_.emplace(id, Slot{std::move(buffer), false, lru_.begin()});
-      used_bytes_ += size;
-    }
-    bytes_written_.Add(size);
-    objects_written_.Add(1);
+  trace::Span span(trace::Stage::kPut, TaskId(), id, node_, NodeId(), buffer->Size());
+  if (!SealLocal(id, buffer)) {
+    return Status::Ok();
   }
   // Publish the new copy (Fig. 7b step 4). Size recorded for the scheduler's
   // transfer-time estimates.
-  return tables_->objects.AddLocation(id, node_, size);
+  return tables_->objects.AddLocation(id, node_, buffer->Size());
+}
+
+void ObjectStore::PutAsync(const ObjectId& id, BufferPtr buffer) {
+  RAY_CHECK(buffer != nullptr);
+  trace::Span span(trace::Stage::kPut, TaskId(), id, node_, NodeId(), buffer->Size());
+  if (SealLocal(id, buffer)) {
+    // The callback captures nothing: it may run after this store is gone.
+    // Consumers learn of the copy through the location pub-sub.
+    tables_->objects.AddLocationAsync(id, node_, buffer->Size(), [](Status) {});
+  }
 }
 
 Result<BufferPtr> ObjectStore::GetLocal(const ObjectId& id) {

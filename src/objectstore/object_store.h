@@ -70,6 +70,9 @@ class ObjectStore {
 
   // Seals `buffer` under `id` locally and publishes the location to the GCS.
   Status Put(const ObjectId& id, BufferPtr buffer);
+  // Same seal, but the location publish is an async GCS write that nothing
+  // waits on. Safe inside a GCS write callback (see Gcs::WriteCallback).
+  void PutAsync(const ObjectId& id, BufferPtr buffer);
 
   // Local-only lookup; promotes a disk-tier object back to memory (charging
   // the disk read penalty). KeyNotFound if absent on this node.
@@ -126,6 +129,10 @@ class ObjectStore {
     std::list<ObjectId>::iterator lru_it;
   };
 
+  // Seals `buffer` under `id` in the local tiers; false when `id` is already
+  // here. Objects are immutable, so a re-put (idempotent re-execution after
+  // failures produces identical values) is a no-op and publishes nothing.
+  bool SealLocal(const ObjectId& id, const BufferPtr& buffer);
   // Evicts LRU objects to the disk tier until used memory is at most
   // `target`.
   void EvictLocked(size_t target) REQUIRES(mu_);

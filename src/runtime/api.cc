@@ -57,7 +57,7 @@ void Ray::ReportWorkerBlocked() {
   for (TaskSpec& spec : self->scheduler().NotifyWorkerBlocked()) {
     // The spilled task may now execute remotely, where the executor cannot
     // consult this node's lineage buffer; flush its record through first.
-    self->transport().WaitTaskDurable(spec.id);
+    self->transport().lineage().WaitTaskDurable(spec.id);
     Status s = cluster_->SubmitTask(spec, ctx->node);
     if (!s.ok()) {
       RAY_LOG(WARNING) << "re-routing task " << ToShortString(spec.id)

@@ -380,8 +380,8 @@ void Cluster::ReconstructObject(const ObjectId& object) {
           }
         } else if (node_alive) {
           // No location record at all. kDone commits before the first
-          // location publish, so the executing worker is between SetState
-          // and Put: the publish is in flight. Resubmitting here would
+          // location publish, so the task's completion chain is between
+          // the two: the publish is in flight. Resubmitting here would
           // re-run a finished task and flip its state back to kPending
           // under a racing reader (the lineage GC saw exactly that).
           resubmit = false;

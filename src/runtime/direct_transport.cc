@@ -89,8 +89,8 @@ bool DirectTaskTransport::TrySubmit(const TaskSpec& spec) {
     return false;
   }
   // Lineage first: recorded (asynchronously) before the task can possibly
-  // run. The executor blocks on WaitTaskDurable before committing kDone or
-  // putting outputs, which is what makes the async write safe.
+  // run. The executor commits kDone and seals outputs only from a
+  // WhenTaskDurable hook, which is what makes the async write safe.
   uint64_t seq = lineage_.Record(spec, node_);
   {
     trace::Span span(trace::Stage::kDirectSubmit, spec.id, ObjectId(), node_);
@@ -105,10 +105,6 @@ bool DirectTaskTransport::TrySubmit(const TaskSpec& spec) {
   lineage_.WaitDurable(seq);
   fallbacks_.fetch_add(1, std::memory_order_relaxed);
   return false;
-}
-
-void DirectTaskTransport::WaitTaskDurable(const TaskId& task) {
-  lineage_.WaitTaskDurable(task);
 }
 
 void DirectTaskTransport::Shutdown() {

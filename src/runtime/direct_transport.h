@@ -54,17 +54,15 @@ class DirectTaskTransport {
   // submit through the classic routed path (which records lineage itself).
   bool TrySubmit(const TaskSpec& spec);
 
-  // Durability gate for executors on this node: blocks until `task`'s
-  // async-recorded lineage is durable (no-op for classically-submitted
-  // tasks). Must run before the executor commits kDone or puts any output.
-  void WaitTaskDurable(const TaskId& task);
-
   // Returns all cached leases and refuses further TrySubmits. Called on
   // node kill/teardown; idempotent.
   void Shutdown();
 
   uint64_t NumDirectSubmits() const { return direct_submits_.load(std::memory_order_relaxed); }
   uint64_t NumFallbacks() const { return fallbacks_.load(std::memory_order_relaxed); }
+  // Durability gate for this node: executors complete tasks through its
+  // WhenTaskDurable hook, and a task re-routed off this node waits on
+  // WaitTaskDurable first (a remote executor cannot consult this buffer).
   LineageBuffer& lineage() { return lineage_; }
 
  private:

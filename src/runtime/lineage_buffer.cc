@@ -46,26 +46,36 @@ uint64_t LineageBuffer::Record(const TaskSpec& spec, const NodeId& node) {
 void LineageBuffer::OnOpDone(uint64_t seq, Status status) {
   if (!status.ok()) {
     // The record still completes: a failed chain round is a control-plane
-    // outage, and blocking the watermark forever would wedge every executor
-    // behind WaitTaskDurable. Count it so tests and benches can assert zero.
+    // outage, and blocking the watermark forever would strand every task
+    // completion queued behind WhenTaskDurable. Count it so tests and
+    // benches can assert zero.
     failed_.fetch_add(1, std::memory_order_relaxed);
     RAY_LOG(ERROR) << "async lineage write failed: " << status.ToString();
   }
-  MutexLock lock(mu_);
-  auto it = pending_.find(seq);
-  if (it == pending_.end()) {
-    return;
+  std::vector<std::function<void()>> hooks;
+  {
+    MutexLock lock(mu_);
+    auto it = pending_.find(seq);
+    if (it == pending_.end()) {
+      return;
+    }
+    if (--it->second.remaining_ops > 0) {
+      return;
+    }
+    hooks = std::move(it->second.on_durable);
+    task_seq_.erase(it->second.task);
+    pending_.erase(it);
+    uint64_t candidate = pending_.empty() ? next_seq_ - 1 : pending_.begin()->first - 1;
+    if (candidate > watermark_) {
+      watermark_ = candidate;
+    }
+    cv_.NotifyAll();
   }
-  if (--it->second.remaining_ops > 0) {
-    return;
+  // Outside mu_, and touching nothing of this buffer: once pending_ is empty
+  // the destructor may already have returned.
+  for (auto& hook : hooks) {
+    hook();
   }
-  task_seq_.erase(it->second.task);
-  pending_.erase(it);
-  uint64_t candidate = pending_.empty() ? next_seq_ - 1 : pending_.begin()->first - 1;
-  if (candidate > watermark_) {
-    watermark_ = candidate;
-  }
-  cv_.NotifyAll();
 }
 
 void LineageBuffer::WaitDurable(uint64_t seq) {
@@ -85,6 +95,18 @@ void LineageBuffer::WaitTaskDurable(const TaskId& task) {
   while (pending_.count(seq) > 0) {
     cv_.Wait(mu_);
   }
+}
+
+void LineageBuffer::WhenTaskDurable(const TaskId& task, std::function<void()> fn) {
+  {
+    MutexLock lock(mu_);
+    auto it = task_seq_.find(task);
+    if (it != task_seq_.end()) {
+      pending_.at(it->second).on_durable.push_back(std::move(fn));
+      return;
+    }
+  }
+  fn();  // not recorded here, or already durable
 }
 
 void LineageBuffer::Flush() {

@@ -9,9 +9,10 @@
 // Durability invariant (what keeps reconstruction and the location-log logic
 // correct): a task's outputs must never become visible — neither the kDone
 // state nor any object location — before its lineage is durable. Executors
-// enforce it by calling WaitTaskDurable(task) before committing kDone and
-// putting results. A submitter node that dies with flushes in flight
-// therefore loses only tasks whose outputs nobody can observe yet.
+// enforce it by issuing the kDone (or kLost) write from a
+// WhenTaskDurable(task, ...) hook, and sealing results only once that write
+// commits. A submitter node that dies with flushes in flight therefore loses
+// only tasks whose outputs nobody can observe yet.
 //
 // Backpressure: Record blocks when more than max_inflight_records records
 // are unflushed, bounding the window of lineage a crash can lose and the
@@ -21,8 +22,10 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <unordered_map>
+#include <vector>
 
 #include "common/id.h"
 #include "common/sync.h"
@@ -55,9 +58,15 @@ class LineageBuffer {
   void WaitDurable(uint64_t seq);
   // Blocks until `task`'s lineage is durable. Returns immediately for tasks
   // not recorded through this buffer (the synchronous path) or already
-  // flushed — executors call this for every task, so the miss is the hot
-  // case and costs one hash lookup.
+  // flushed.
   void WaitTaskDurable(const TaskId& task);
+  // Runs `fn` once `task`'s lineage is durable, without blocking: inline on
+  // the caller for tasks not recorded here or already flushed (the hot miss
+  // costs one hash lookup), else on the GCS flusher thread that commits the
+  // record's last write, outside mu_ — so `fn` is bound by the rules of
+  // Gcs::WriteCallback. A failed write still completes the record, so `fn`
+  // always runs.
+  void WhenTaskDurable(const TaskId& task, std::function<void()> fn);
   // Blocks until everything recorded so far is durable.
   void Flush();
 
@@ -71,6 +80,8 @@ class LineageBuffer {
   struct PendingRecord {
     int remaining_ops = 0;
     TaskId task;
+    // WhenTaskDurable hooks, run once the last write commits.
+    std::vector<std::function<void()>> on_durable;
   };
 
   void OnOpDone(uint64_t seq, Status status);

@@ -69,6 +69,7 @@ Node::~Node() {
     StopActors();
     transport_->Shutdown();
     scheduler_->Shutdown();
+    DrainCompletions();  // callbacks hold `this`; members die next
   }
 }
 
@@ -117,6 +118,9 @@ void Node::Kill() {
   StopActors();
   transport_->Shutdown();
   scheduler_->Shutdown();
+  // The workers are joined, so no completion starts after this; one already
+  // in flight seals nothing now that alive_ is false.
+  DrainCompletions();
   store_->CrashClear();
 }
 
@@ -159,43 +163,70 @@ void Node::ExecuteTask(const TaskSpec& spec) {
   Status s = ResolveArgs(spec, &args);
   if (!s.ok()) {
     RAY_LOG(WARNING) << "task " << ToShortString(spec.id) << " lost an input: " << s.ToString();
-    // Reconstruction reads this task's spec from the GCS; make sure the
-    // async-recorded lineage landed before advertising the loss.
-    transport_->WaitTaskDurable(spec.id);
-    rt_->tables->tasks.SetState(spec.id, gcs::TaskState::kLost, id_);
+    // Reconstruction reads this task's spec from the GCS, so kLost too waits
+    // for the async-recorded lineage to land.
+    CompleteTask(spec.id, gcs::TaskState::kLost, {});
     return;
   }
+  std::vector<BufferPtr> results;
   if (const RawMultiFunction* multi = rt_->functions->LookupMulti(spec.function_name)) {
-    std::vector<BufferPtr> results = (*multi)(args);
+    results = (*multi)(args);
     if (!IsAlive()) {
-      return;
+      return;  // died mid-execution: outputs are lost with the store
     }
     RAY_CHECK(results.size() == spec.num_returns)
         << "multi-output function produced " << results.size() << " values, spec expects "
         << spec.num_returns;
-    // Durability invariant: lineage is in the GCS before any output becomes
-    // visible, so a failure after this point can always re-derive the task.
-    transport_->WaitTaskDurable(spec.id);
-    // kDone commits before the result locations publish: a consumer woken by
-    // a result must already observe the producing task as done.
-    rt_->tables->tasks.SetState(spec.id, gcs::TaskState::kDone, id_);
-    for (uint32_t i = 0; i < spec.num_returns; ++i) {
-      store_->Put(spec.ReturnId(i), std::move(results[i]));
+  } else {
+    const RawFunction* fn = rt_->functions->Lookup(spec.function_name);
+    RAY_CHECK(fn != nullptr) << "unknown remote function: " << spec.function_name;
+    results.push_back((*fn)(args));
+    if (!IsAlive()) {
+      return;
     }
-    return;
+    for (uint32_t i = 1; i < spec.num_returns; ++i) {
+      results.push_back(std::make_shared<Buffer>());
+    }
   }
-  const RawFunction* fn = rt_->functions->Lookup(spec.function_name);
-  RAY_CHECK(fn != nullptr) << "unknown remote function: " << spec.function_name;
-  BufferPtr result = (*fn)(args);
-  if (!IsAlive()) {
-    return;  // died mid-execution: outputs are lost with the store
+  CompleteTask(spec.id, gcs::TaskState::kDone, std::move(results));
+}
+
+void Node::CompleteTask(const TaskId& task, gcs::TaskState state,
+                        std::vector<BufferPtr> outputs) {
+  {
+    MutexLock lock(completions_mu_);
+    ++completions_inflight_;
   }
-  // Same durability gate as the multi-output path: lineage before outputs.
-  transport_->WaitTaskDurable(spec.id);
-  rt_->tables->tasks.SetState(spec.id, gcs::TaskState::kDone, id_);
-  store_->Put(spec.ReturnId(0), std::move(result));
-  for (uint32_t i = 1; i < spec.num_returns; ++i) {
-    store_->Put(spec.ReturnId(i), std::make_shared<Buffer>());
+  // Each step runs on the GCS flusher thread that committed the write before
+  // it (or inline, when the lineage is already durable), so it does only
+  // in-memory work and issues async writes (see Gcs::WriteCallback).
+  auto seal = [this, task, outputs = std::move(outputs)](Status) mutable {
+    // The terminal state has committed: a consumer woken by a result's
+    // location already observes the task as done.
+    if (IsAlive()) {
+      for (uint32_t i = 0; i < outputs.size(); ++i) {
+        store_->PutAsync(ObjectIdForReturn(task, i), std::move(outputs[i]));
+      }
+    }
+    // Notify under the lock: a draining Kill or ~Node may destroy `this` as
+    // soon as it reads zero.
+    MutexLock lock(completions_mu_);
+    --completions_inflight_;
+    completions_cv_.NotifyAll();
+  };
+  // Durability invariant: lineage is in the GCS before the state commits and
+  // before any output becomes visible, so a failure at any later point can
+  // always re-derive the task.
+  transport_->lineage().WhenTaskDurable(
+      task, [this, task, state, seal = std::move(seal)]() mutable {
+        rt_->tables->tasks.SetStateAsync(task, state, id_, std::move(seal));
+      });
+}
+
+void Node::DrainCompletions() {
+  MutexLock lock(completions_mu_);
+  while (completions_inflight_ > 0) {
+    completions_cv_.Wait(completions_mu_);
   }
 }
 

@@ -15,11 +15,13 @@
 #include <memory>
 #include <thread>
 #include <unordered_map>
+#include <vector>
 
 #include "common/fiber.h"
 #include "common/id.h"
 #include "common/queue.h"
 #include "common/sync.h"
+#include "gcs/tables.h"
 #include "objectstore/object_store.h"
 #include "runtime/context.h"
 #include "runtime/direct_transport.h"
@@ -74,6 +76,14 @@ class Node {
 
   // Worker-thread entry point for plain tasks and actor creations.
   void ExecuteTask(const TaskSpec& spec);
+  // Finishes a plain task without holding its worker: once the task's
+  // lineage is durable, commits `state` (kDone or kLost) asynchronously, and
+  // once that commits, seals `outputs` as the task's returns and publishes
+  // their locations. The steps run as a chain of GCS write callbacks.
+  void CompleteTask(const TaskId& task, gcs::TaskState state, std::vector<BufferPtr> outputs);
+  // Blocks until no completion chain holds `this`. Kill and ~Node call it
+  // after the workers are joined and before the store is cleared or freed.
+  void DrainCompletions();
   // Non-blocking handoff of an actor method to its mailbox.
   void DispatchActorTask(const TaskSpec& spec);
   void ActorLoop(LiveActor* actor);
@@ -95,6 +105,11 @@ class Node {
   std::unique_ptr<DirectTaskTransport> transport_;
   std::atomic<bool> alive_{true};
   std::atomic<uint64_t> actor_methods_executed_{0};
+
+  Mutex completions_mu_{"Node.completions_mu"};
+  CondVar completions_cv_;
+  // CompleteTask chains whose last callback has not yet run.
+  size_t completions_inflight_ GUARDED_BY(completions_mu_) = 0;
 
   mutable Mutex actors_mu_{"Node.actors_mu"};
   std::unordered_map<ActorId, std::unique_ptr<LiveActor>> actors_ GUARDED_BY(actors_mu_);

@@ -474,9 +474,10 @@ void LocalScheduler::WorkerLoop() {
     tasks_executed_.fetch_add(1, std::memory_order_relaxed);
     // No kRunning transition: reconstruction treats pending-on-a-live-node
     // and running identically, so the extra GCS write per task buys nothing.
-    // The executor owns the terminal kDone/kLost transition — it must commit
-    // kDone *before* publishing result objects so that anyone woken by a
-    // result's location already observes the task as done.
+    // The executor owns the terminal kDone/kLost transition. It hands it to
+    // a chain of GCS write callbacks (lineage durable, then kDone, then the
+    // results sealed and their locations published) and returns before any
+    // of them commits, so this worker is free as soon as the function is.
     {
       trace::Span span(trace::Stage::kExec, spec.id, ObjectId(), node_);
       executor_(spec);

@@ -2,6 +2,7 @@
 // actor recovery via checkpoint + method replay (Fig. 11b).
 #include <gtest/gtest.h>
 
+#include "common/clock.h"
 #include "runtime/api.h"
 
 namespace ray {
@@ -56,8 +57,16 @@ TEST_F(FaultToleranceTest, LostObjectIsReconstructedFromLineage) {
   ASSERT_TRUE(first.ok());
   EXPECT_EQ(*first, 42);
 
+  // A same-node Get can return as soon as the result is sealed, before its
+  // location record commits: wait (bounded) for the record before reading it.
   auto entry = cluster_->tables().objects.GetLocations(ref.id());
+  for (int64_t deadline = NowMicros() + 5'000'000;
+       (!entry.ok() || entry->locations.empty()) && NowMicros() < deadline;) {
+    SleepMicros(1'000);
+    entry = cluster_->tables().objects.GetLocations(ref.id());
+  }
   ASSERT_TRUE(entry.ok());
+  ASSERT_FALSE(entry->locations.empty()) << "the result's location never committed";
   NodeId holder = entry->locations[0];
   if (holder == cluster_->node(0).id()) {
     // Result lives on the driver's node; replicate it nowhere and skip the

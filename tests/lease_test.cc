@@ -1,13 +1,19 @@
 // Lease lifecycle edge cases for the direct task transport: revocation with
 // tasks still pipelined, lease-holder death mid-submit, renewal racing the
-// idle-timeout reaper, spillback when every worker is leased, and the
+// idle-timeout reaper, spillback when every worker is leased, the
 // async-lineage durability invariant (outputs never visible before the
-// producing task's lineage is durable).
+// producing task's lineage is durable), and the async completion chain
+// (a finished task frees its worker at once; kDone commits before a result
+// is published; a killed node seals nothing afterwards).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
+#include <functional>
+#include <limits>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/clock.h"
@@ -305,6 +311,12 @@ TEST(LeaseClusterTest, LineageDurableBeforeOutputsVisibleAcrossKill) {
   NodeId doomed = cluster.node(0).id();
   std::vector<ObjectId> refs;
   std::thread killer([&] {
+    // Kill only once a worker has picked up a task: a kill that races ahead
+    // of every task leaves nothing visible to audit.
+    int64_t deadline = NowMicros() + 10'000'000;
+    while (cluster.node(0).scheduler().NumTasksExecuted() == 0 && NowMicros() < deadline) {
+      SleepMicros(100);
+    }
     SleepMicros(2'000);
     cluster.KillNode(0);
   });
@@ -339,6 +351,183 @@ TEST(LeaseClusterTest, LineageDurableBeforeOutputsVisibleAcrossKill) {
     EXPECT_FALSE(spec->empty());
   }
   EXPECT_GT(visible, 0) << "kill raced ahead of every task; test proved nothing";
+}
+
+
+// Waits (bounded) until `done()` holds; returns whether it did.
+bool WaitFor(const std::function<bool()>& done, int64_t timeout_us = 30'000'000) {
+  int64_t deadline = NowMicros() + timeout_us;
+  while (!done()) {
+    if (NowMicros() >= deadline) {
+      return false;
+    }
+    SleepMicros(500);
+  }
+  return true;
+}
+
+// Sanitizer builds run a worker's own per-task code about ten times slower,
+// so they stretch the modelled hop to keep one chain round well above it.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+constexpr int64_t kPipelineHopUs = 10'000;
+#else
+constexpr int64_t kPipelineHopUs = 2'000;
+#endif
+
+TEST(LeaseClusterTest, FinishedTaskFreesItsWorkerBeforeItsCompletionCommits) {
+  // One carrier, one lease: 20 tasks run back to back on one worker fiber.
+  // Their completions (lineage durable, kDone, seal, location) are GCS write
+  // callbacks, so the worker starts the next task without waiting out a
+  // single chain round. A worker that committed each completion itself would
+  // spend at least two rounds per task.
+  ClusterConfig config = LeaseClusterConfig(1, /*cpus=*/1);
+  config.scheduler.num_fiber_carriers = 1;
+  config.gcs.chain.hop_latency_us = kPipelineHopUs;
+  const int64_t round_us = config.gcs.chain.num_replicas * config.gcs.chain.hop_latency_us;
+  // Declared before the cluster: its teardown may still run a task.
+  constexpr int kTasks = 20;
+  std::vector<std::atomic<int64_t>> started(kTasks);
+  std::atomic<bool> gate{false};
+  Cluster cluster(config);
+  cluster.RegisterFunction("stamp", std::function<int(int)>([&](int i) {
+                             // The first task holds the worker until all 20 sit
+                             // in the lease's pipeline, so the spread measures
+                             // the worker, not the submitter.
+                             int64_t deadline = NowMicros() + 10'000'000;
+                             while (i == 0 && !gate.load() && NowMicros() < deadline) {
+                               SleepMicros(100);
+                             }
+                             started[i].store(NowMicros());
+                             return i;
+                           }));
+  Ray ray = Ray::OnNode(cluster, 0);
+  // Best of three batches: on a loaded host the OS can take the carrier
+  // thread away for longer than a round in any one batch.
+  int64_t best_us = std::numeric_limits<int64_t>::max();
+  int batches = 0;
+  for (; batches < 3 && best_us >= round_us; ++batches) {
+    gate.store(false);
+    std::vector<ObjectRef<int>> refs;
+    for (int i = 0; i < kTasks; ++i) {
+      refs.push_back(ray.Call<int>("stamp", i));
+    }
+    gate.store(true);
+    auto values = ray.GetAll(refs, 30'000'000);
+    ASSERT_TRUE(values.ok()) << values.status().ToString();
+    int64_t first = started[0].load();
+    int64_t last = first;
+    for (auto& t : started) {
+      last = std::max(last, t.load());
+    }
+    best_us = std::min(best_us, last - first);
+  }
+  EXPECT_EQ(cluster.node(0).transport().NumDirectSubmits(),
+            static_cast<uint64_t>(batches * kTasks))
+      << "every task must ride the one lease";
+  EXPECT_LT(best_us, round_us) << "the worker waited on a completion's GCS round";
+}
+
+TEST(LeaseClusterTest, ResultLocationPublishesOnlyAfterKDoneAndLineageCommit) {
+  // The completion chain's order, observed from the GCS: whoever is woken by
+  // a result's location must already read the producing task as kDone, with
+  // its spec durable.
+  ClusterConfig config = LeaseClusterConfig(1);
+  config.gcs.chain.hop_latency_us = 1'000;
+  constexpr int kTasks = 300;
+  config.scheduler.lease_max_inflight = kTasks;  // every submit can be leased
+  // Declared before the cluster: its teardown may still deliver a publish.
+  std::atomic<int> seen{0};
+  std::atomic<int> not_done{0};
+  std::atomic<int> no_spec{0};
+  Cluster cluster(config);
+  cluster.RegisterFunction("add_one", &AddOne);
+  NodeId node = cluster.node(0).id();
+  auto& tables = cluster.tables();
+
+  std::vector<std::pair<ObjectId, uint64_t>> subscriptions;
+  for (int i = 0; i < kTasks; ++i) {
+    TaskSpec spec = MakeAddOneSpec(i);
+    TaskId task = spec.id;
+    uint64_t token = tables.objects.SubscribeLocations(
+        spec.ReturnId(0), [&, task](const ObjectId&, const NodeId&) {
+          auto state = tables.tasks.GetState(task);
+          if (!state.ok() || state->first != gcs::TaskState::kDone) {
+            not_done.fetch_add(1);
+          }
+          if (!tables.tasks.GetSpec(task).ok()) {
+            no_spec.fetch_add(1);
+          }
+          seen.fetch_add(1);
+        });
+    subscriptions.emplace_back(spec.ReturnId(0), token);
+    ASSERT_TRUE(cluster.SubmitTask(spec, node).ok());
+  }
+  bool all_seen = WaitFor([&] { return seen.load() >= kTasks; });
+  for (const auto& [object, token] : subscriptions) {
+    tables.objects.UnsubscribeLocations(object, token);
+  }
+  ASSERT_TRUE(all_seen) << seen.load() << " of " << kTasks << " results published";
+  EXPECT_EQ(not_done.load(), 0) << "a result was published before its task's kDone committed";
+  EXPECT_EQ(no_spec.load(), 0) << "a result was published before its lineage was durable";
+  EXPECT_GT(cluster.node(0).transport().NumDirectSubmits(), static_cast<uint64_t>(kTasks / 2));
+}
+
+TEST(LeaseClusterTest, KillWithCompletionsInFlightSealsNothingAfterwards) {
+  // Completions queued behind slow GCS rounds hold the node across Kill:
+  // Kill must drain them, and any that commit after the crash must leave the
+  // dead node's store empty.
+  ClusterConfig config = LeaseClusterConfig(2);
+  config.gcs.chain.hop_latency_us = 5'000;
+  constexpr int kTasks = 20;
+  config.scheduler.lease_max_inflight = kTasks;
+  const int64_t round_us = config.gcs.chain.num_replicas * config.gcs.chain.hop_latency_us;
+  std::atomic<int> finished{0};  // before the cluster: its teardown may run a task
+  Cluster cluster(config);
+  cluster.RegisterFunction("count", std::function<int(int)>([&](int i) {
+                             finished.fetch_add(1);
+                             return i;
+                           }));
+  Node& doomed = cluster.node(1);
+  for (int i = 0; i < kTasks; ++i) {
+    TaskSpec spec = MakeAddOneSpec(i);
+    spec.function_name = "count";
+    ASSERT_TRUE(cluster.SubmitTask(spec, doomed.id()).ok());
+  }
+  ASSERT_TRUE(WaitFor([&] { return finished.load() >= kTasks; }));
+  // Each completion still needs three rounds (lineage, kDone, location).
+  ASSERT_LT(doomed.store().NumObjects(), static_cast<size_t>(kTasks))
+      << "every completion committed before the kill; the test proved nothing";
+  cluster.KillNode(1);
+  EXPECT_EQ(doomed.store().NumObjects(), 0u);
+  SleepMicros(5 * round_us);
+  EXPECT_EQ(doomed.store().NumObjects(), 0u) << "a completion sealed into a dead node's store";
+}
+
+
+TEST(LeaseClusterTest, TeardownDrainsCompletionsInFlight) {
+  // Graceful teardown with completions still queued behind slow GCS rounds:
+  // their callbacks hold the node, so ~Node must drain them before its
+  // members die. The ASan build reports a callback that touches a freed node.
+  ClusterConfig config = LeaseClusterConfig(1);
+  config.gcs.chain.hop_latency_us = 5'000;
+  constexpr int kTasks = 20;
+  config.scheduler.lease_max_inflight = kTasks;
+  std::atomic<int> finished{0};  // before the cluster: its teardown may run a task
+  auto cluster = std::make_unique<Cluster>(config);
+  cluster->RegisterFunction("count", std::function<int(int)>([&](int i) {
+                              finished.fetch_add(1);
+                              return i;
+                            }));
+  NodeId node = cluster->node(0).id();
+  for (int i = 0; i < kTasks; ++i) {
+    TaskSpec spec = MakeAddOneSpec(i);
+    spec.function_name = "count";
+    ASSERT_TRUE(cluster->SubmitTask(spec, node).ok());
+  }
+  ASSERT_TRUE(WaitFor([&] { return finished.load() >= kTasks; }));
+  ASSERT_LT(cluster->node(0).store().NumObjects(), static_cast<size_t>(kTasks))
+      << "every completion committed before teardown; the test proved nothing";
+  cluster.reset();
 }
 
 }  // namespace
