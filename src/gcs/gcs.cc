@@ -84,7 +84,9 @@ void Gcs::ShardBatcher::FlusherLoop() {
     metrics.gcs_batch_size.Observe(static_cast<double>(batch.size()));
 
     // Publish in commit order before waking writers, so the pub-sub queue
-    // observes the same order the chain committed.
+    // observes the same order the chain committed. Publishing only after
+    // ApplyBatch is what lets PubSub drop events for keys with no
+    // subscription: a later subscriber reads the committed value itself.
     for (Slot* slot : batch) {
       if (slot->publish && status.ok()) {
         pubsub_->Publish(slot->op.key, slot->op.value);
@@ -123,7 +125,7 @@ Gcs::Gcs(const GcsConfig& config) : config_(config) {
   for (int i = 0; i < config_.num_shards; ++i) {
     shards_.push_back(std::make_unique<ChainShard>(config_.chain));
   }
-  pubsub_ = std::make_unique<PubSub>(config_.pubsub_buckets, config_.publish_workers);
+  pubsub_ = std::make_unique<PubSub>(config_.publish_workers);
   if (config_.batch_max_ops > 1) {
     for (auto& shard : shards_) {
       batchers_.push_back(

@@ -11,7 +11,9 @@
 // Callers still block until their write commits — read-your-writes and
 // program order are preserved — but N concurrent writers share one round.
 // Committed writes are published through a sharded async pub-sub (PubSub), so
-// chain commits never block behind subscriber callbacks.
+// chain commits never block behind subscriber callbacks; a write to a key
+// nobody subscribed to publishes nothing. Shard storage is a hash table
+// (KvStore) with single-key operations only.
 #ifndef RAY_GCS_GCS_H_
 #define RAY_GCS_GCS_H_
 
@@ -44,8 +46,6 @@ struct GcsConfig {
   // group commit: every write runs its own round on the caller's thread (the
   // seed behavior).
   int batch_max_ops = 256;
-  // Subscriber registry buckets (reader-writer locked).
-  int pubsub_buckets = 16;
   // Async publish workers; all events for one key hash to one worker, which
   // preserves per-key delivery order. 0 = deliver inline on the committing
   // thread (deterministic; for tests — do not combine with batching and
@@ -86,9 +86,12 @@ class Gcs {
   // result is needed synchronously and increments are rare on the hot path.
   Result<uint64_t> Increment(const std::string& key);
 
-  // Pub-sub: `callback(key, value)` fires after every committed Put/Append
-  // to `key`, asynchronously on a publish worker (per-key order preserved).
-  // After Unsubscribe returns the callback will not run again.
+  // Pub-sub: `callback(key, value)` fires for every Put/Append to `key` that
+  // is published after Subscribe returns, asynchronously on a publish worker,
+  // in per-key commit order. A write that committed before Subscribe returned
+  // may not be delivered (a key with no subscription publishes nothing), so a
+  // caller must read the key after subscribing. After Unsubscribe returns the
+  // callback will not run again.
   using Callback = PubSub::Callback;
   uint64_t Subscribe(const std::string& key, Callback callback);
   void Unsubscribe(const std::string& key, uint64_t token);

@@ -118,6 +118,8 @@ size_t KvStore::Flush(const std::function<bool(const std::string&)>& predicate) 
 
 size_t KvStore::CopyFrom(const KvStore& src) {
   Clear();
+  values_.reserve(src.values_.size());
+  lists_.reserve(src.lists_.size());
   size_t copied = 0;
   for (const auto& [key, entry] : src.values_) {
     values_.emplace(key, entry);

@@ -1,6 +1,8 @@
-// A single GCS shard's storage: an in-memory key-value map with single-key
+// A single GCS shard's storage: an in-memory hash table with single-key
 // operations only (the paper's GCS uses Redis with entirely single-key ops,
-// Section 4.2.4). Supports plain values, append-only lists (used by the
+// Section 4.2.4). Nothing reads it in key order (Flush and CopyFrom visit
+// every entry), so each operation is one hash lookup, not a string-compare
+// walk down a tree. Supports plain values, append-only lists (used by the
 // Object Table to accumulate location add/remove records), byte-level memory
 // accounting, and flushing cold entries to a simulated disk tier (Fig. 10b).
 #ifndef RAY_GCS_KV_STORE_H_
@@ -8,9 +10,9 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <optional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "common/status.h"
@@ -65,8 +67,8 @@ class KvStore {
 
   static size_t ListBytes(const std::string& key, const ListEntry& e);
 
-  std::map<std::string, Entry> values_;
-  std::map<std::string, ListEntry> lists_;
+  std::unordered_map<std::string, Entry> values_;
+  std::unordered_map<std::string, ListEntry> lists_;
   size_t memory_bytes_ = 0;
   size_t disk_bytes_ = 0;
 };

@@ -8,7 +8,7 @@
 namespace ray {
 namespace gcs {
 
-PubSub::PubSub(int num_buckets, int num_workers) : buckets_(std::max(1, num_buckets)) {
+PubSub::PubSub(int num_workers) {
   workers_.reserve(static_cast<size_t>(std::max(0, num_workers)));
   for (int i = 0; i < num_workers; ++i) {
     auto worker = std::make_unique<Worker>();
@@ -115,13 +115,23 @@ void PubSub::Publish(const std::string& key, const std::string& value) {
     Deliver(key, value);
     return;
   }
-  Worker& worker = *workers_[Hash(key) % workers_.size()];
   {
-    MutexLock lock(worker.mu);
-    worker.queue.emplace_back(key, value);
-    worker.cv.NotifyOne();
+    // No listener: drop the event here rather than copy it into a worker
+    // queue. The caller publishes after the write committed, so a Subscribe
+    // that wins the bucket lock after this check returns after the commit,
+    // and the subscriber's read after subscribing sees the value.
+    const Bucket& bucket = BucketFor(key);
+    ReaderMutexLock lock(bucket.mu);
+    if (bucket.subs.find(key) == bucket.subs.end()) {
+      return;
+    }
   }
+  Worker& worker = *workers_[Hash(key) % workers_.size()];
+  MutexLock lock(worker.mu);
+  worker.queue.emplace_back(key, value);
+  // Counted before the worker can pop it, so the gauge never reads below 0.
   ControlPlaneMetrics::Instance().publish_queue_depth.Add(1);
+  worker.cv.NotifyOne();
 }
 
 void PubSub::WorkerLoop(Worker& worker) {

@@ -2,16 +2,24 @@
 // global subscriber mutex and ran every callback synchronously on the
 // writer's thread, so a slow subscriber stalled every chain commit. Here:
 //
-//   - Subscribers are hashed across N buckets, each under a reader-writer
-//     lock, so Subscribe/Unsubscribe on different keys never contend and
-//     delivery takes only shared locks.
-//   - Publish enqueues to one of W worker threads chosen by hashing the key,
-//     so all events for a key are delivered by the same worker in enqueue
-//     order (per-key FIFO), while the publisher returns immediately.
+//   - Subscribers are hashed across kNumBuckets buckets, each under a
+//     reader-writer lock, so Subscribe/Unsubscribe on different keys never
+//     contend and publishing takes only shared locks.
+//   - Publish returns at once, copying and queueing nothing, when the key has
+//     no subscription; almost every GCS write is to such a key. Otherwise it
+//     enqueues to one of W worker threads chosen by hashing the key, so all
+//     events for a key are delivered by the same worker in enqueue order
+//     (per-key FIFO), while the publisher returns immediately.
 //   - Unsubscribe guarantees the callback never runs after it returns: the
 //     subscription is deactivated and Unsubscribe waits out any in-flight
 //     delivery (unless called from inside that very callback, where waiting
 //     would self-deadlock and the guarantee holds trivially).
+//
+// Delivery contract: a subscription receives every event published after
+// Subscribe returns, in per-key publish order. An event published earlier
+// may not reach it (nobody was listening, so it was dropped). The GCS
+// publishes a write only after it has committed, so a subscriber that reads
+// the key after Subscribe returns sees every write it was not sent.
 //
 // With zero workers, Publish delivers inline on the caller's thread (the
 // seed behavior, minus the global mutex) — used by tests that need
@@ -19,6 +27,7 @@
 #ifndef RAY_GCS_PUBSUB_H_
 #define RAY_GCS_PUBSUB_H_
 
+#include <array>
 #include <atomic>
 #include <deque>
 #include <functional>
@@ -37,7 +46,7 @@ class PubSub {
  public:
   using Callback = std::function<void(const std::string& key, const std::string& value)>;
 
-  PubSub(int num_buckets, int num_workers);
+  explicit PubSub(int num_workers);
   ~PubSub();
 
   PubSub(const PubSub&) = delete;
@@ -49,7 +58,8 @@ class PubSub {
   // it).
   void Unsubscribe(const std::string& key, uint64_t token);
 
-  // Async when workers exist (returns before delivery), inline otherwise.
+  // Async when workers exist (returns before delivery), inline otherwise. A
+  // key with no subscription costs one shared-locked lookup and nothing else.
   void Publish(const std::string& key, const std::string& value);
 
   // Blocks until every event published before this call has been delivered.
@@ -88,9 +98,11 @@ class PubSub {
     std::thread thread;
   };
 
-  Bucket& BucketFor(const std::string& key) { return buckets_[Hash(key) % buckets_.size()]; }
+  static constexpr size_t kNumBuckets = 16;
+
+  Bucket& BucketFor(const std::string& key) { return buckets_[Hash(key) % kNumBuckets]; }
   const Bucket& BucketFor(const std::string& key) const {
-    return buckets_[Hash(key) % buckets_.size()];
+    return buckets_[Hash(key) % kNumBuckets];
   }
   static size_t Hash(const std::string& key) { return std::hash<std::string>{}(key); }
 
@@ -98,7 +110,7 @@ class PubSub {
   // Runs every active callback for `key`.
   void Deliver(const std::string& key, const std::string& value);
 
-  std::vector<Bucket> buckets_;
+  std::array<Bucket, kNumBuckets> buckets_;
   std::vector<std::unique_ptr<Worker>> workers_;
   std::atomic<uint64_t> next_token_{1};
   std::atomic<bool> shutdown_{false};

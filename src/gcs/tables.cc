@@ -420,24 +420,6 @@ size_t ServeTable::CountReplicasOn(const std::string& group, const NodeId& node)
   return count;
 }
 
-uint64_t ServeTable::SubscribeReplicas(const std::string& group,
-                                       std::function<void(const Replica&, bool alive)> callback) {
-  return gcs_->Subscribe(ServeRepKey(group), [cb = std::move(callback)](const std::string&,
-                                                                        const std::string& rec) {
-    if (rec.size() < 1 + ActorId::kSize + NodeId::kSize) {
-      return;
-    }
-    Replica r;
-    r.actor = ActorId::FromBinary(rec.substr(1, ActorId::kSize));
-    r.node = NodeId::FromBinary(rec.substr(1 + ActorId::kSize, NodeId::kSize));
-    cb(r, rec[0] == '+');
-  });
-}
-
-void ServeTable::UnsubscribeReplicas(const std::string& group, uint64_t token) {
-  gcs_->Unsubscribe(ServeRepKey(group), token);
-}
-
 Status ServeTable::PublishMetrics(const std::string& group, const std::string& metrics_bytes) {
   return gcs_->Put(ServeMetricsKey(group), metrics_bytes);
 }

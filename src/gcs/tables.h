@@ -196,11 +196,6 @@ class ServeTable {
   // Members of `group` hosted on `node` (the spread-placement count).
   size_t CountReplicasOn(const std::string& group, const NodeId& node) const;
 
-  // Fires `callback(replica, alive)` on membership changes.
-  uint64_t SubscribeReplicas(const std::string& group,
-                             std::function<void(const Replica&, bool alive)> callback);
-  void UnsubscribeReplicas(const std::string& group, uint64_t token);
-
   Status PublishMetrics(const std::string& group, const std::string& metrics_bytes);
   Result<std::string> GetMetrics(const std::string& group) const;
 

@@ -5,7 +5,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <memory>
 #include <thread>
+#include <vector>
 
 #include "common/clock.h"
 #include "common/metrics.h"
@@ -334,6 +336,73 @@ TEST(GcsTest, BatchedAppendsAllCommitAndPublishInCommitOrder) {
   ASSERT_EQ(published.size(), list->size());
   EXPECT_EQ(published, *list);
   gcs.Unsubscribe("list", token);
+}
+
+// The subscribe-then-read pattern every subscriber follows misses no write:
+// a subscriber that registers while a write to its key is in flight, then
+// reads the key, either reads the element or is sent its publish. Each pair
+// of threads meets at every key, so the Subscribe races the append's commit.
+TEST(GcsTest, SubscribeThenReadSeesEveryCommit) {
+  constexpr int kPairs = 4;
+  constexpr int kKeys = 500;
+  // Declared before the Gcs: its destructor runs the last write callbacks.
+  std::atomic<int> failed_writes{0};
+  std::atomic<int> missed{0};
+  GcsConfig config;
+  config.publish_workers = 2;
+  config.chain.hop_latency_us = 200;
+  Gcs gcs(config);
+  std::vector<std::thread> threads;
+  for (int p = 0; p < kPairs; ++p) {
+    // Both threads of a pair bump `arrived` at each key and start on it once
+    // the other has arrived too.
+    auto arrived = std::make_shared<std::atomic<int>>(0);
+    auto meet = [arrived](int key) {
+      arrived->fetch_add(1);
+      while (arrived->load() < 2 * (key + 1)) {
+        std::this_thread::yield();
+      }
+    };
+    auto key_of = [p](int key) { return "p" + std::to_string(p) + ":" + std::to_string(key); };
+    threads.emplace_back([&gcs, &failed_writes, meet, key_of] {
+      for (int i = 0; i < kKeys; ++i) {
+        meet(i);
+        gcs.AppendAsync(key_of(i), "e", [&failed_writes](Status s) {
+          if (!s.ok()) {
+            failed_writes.fetch_add(1);
+          }
+        });
+      }
+    });
+    threads.emplace_back([&gcs, &missed, meet, key_of] {
+      std::vector<std::atomic<bool>> fired(kKeys);
+      std::vector<bool> read(kKeys, false);
+      std::vector<uint64_t> tokens(kKeys);
+      for (int i = 0; i < kKeys; ++i) {
+        meet(i);
+        tokens[i] = gcs.Subscribe(key_of(i), [&fired, i](const std::string&, const std::string&) {
+          fired[i].store(true);
+        });
+        auto list = gcs.GetList(key_of(i));
+        read[i] = list.ok() && !list->empty();
+      }
+      int64_t deadline = NowMicros() + 2'000'000;
+      for (int i = 0; i < kKeys; ++i) {
+        while (!read[i] && !fired[i].load() && NowMicros() < deadline) {
+          SleepMicros(1'000);
+        }
+        if (!read[i] && !fired[i].load()) {
+          missed.fetch_add(1);
+        }
+        gcs.Unsubscribe(key_of(i), tokens[i]);
+      }
+    });
+  }
+  for (auto& t : threads) {
+    t.join();
+  }
+  EXPECT_EQ(failed_writes.load(), 0);
+  EXPECT_EQ(missed.load(), 0) << "a subscriber neither read a committed write nor was sent it";
 }
 
 TEST(GcsTest, AutoFlushCapsMemory) {

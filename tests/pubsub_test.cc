@@ -1,7 +1,8 @@
 // Concurrency tests for the sharded async pub-sub registry: per-key delivery
 // order through the worker pool, the "no callback after Unsubscribe returns"
-// guarantee under concurrent publishes, and self-unsubscribe from inside a
-// callback. These run under ThreadSanitizer in CI (scripts/run_tsan.sh).
+// guarantee under concurrent publishes, self-unsubscribe from inside a
+// callback, and that a publish to a key nobody subscribed to queues nothing.
+// These run under ThreadSanitizer in CI (scripts/run_tsan.sh).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -10,6 +11,7 @@
 #include <vector>
 
 #include "common/clock.h"
+#include "common/sync.h"
 #include "gcs/pubsub.h"
 
 namespace ray {
@@ -17,7 +19,7 @@ namespace gcs {
 namespace {
 
 TEST(PubSubTest, DeliversToAllSubscribersOfKey) {
-  PubSub pubsub(/*num_buckets=*/4, /*num_workers=*/2);
+  PubSub pubsub(/*num_workers=*/2);
   std::atomic<int> a{0}, b{0}, other{0};
   uint64_t ta = pubsub.Subscribe("k", [&](const std::string&, const std::string&) { ++a; });
   uint64_t tb = pubsub.Subscribe("k", [&](const std::string&, const std::string&) { ++b; });
@@ -35,7 +37,7 @@ TEST(PubSubTest, DeliversToAllSubscribersOfKey) {
 }
 
 TEST(PubSubTest, InlineDeliveryWithZeroWorkers) {
-  PubSub pubsub(/*num_buckets=*/4, /*num_workers=*/0);
+  PubSub pubsub(/*num_workers=*/0);
   int count = 0;  // no atomics needed: delivery is on the publishing thread
   uint64_t token = pubsub.Subscribe("k", [&](const std::string&, const std::string&) { ++count; });
   pubsub.Publish("k", "v");
@@ -45,10 +47,34 @@ TEST(PubSubTest, InlineDeliveryWithZeroWorkers) {
   EXPECT_EQ(count, 1);
 }
 
+// A publish to a key with no subscription is dropped on the spot: nothing is
+// copied into a worker queue. The one worker is held inside a callback, so
+// every queued event stays visible to QueueDepth.
+TEST(PubSubTest, PublishWithoutSubscriberQueuesNothing) {
+  PubSub pubsub(/*num_workers=*/1);
+  Notification started;
+  Notification release;
+  uint64_t token = pubsub.Subscribe("busy", [&](const std::string&, const std::string&) {
+    started.Notify();
+    release.Wait();
+  });
+  pubsub.Publish("busy", "0");
+  started.Wait();
+  for (int i = 0; i < 100; ++i) {
+    pubsub.Publish("idle" + std::to_string(i), "v");
+  }
+  EXPECT_EQ(pubsub.QueueDepth(), 0u);
+  pubsub.Publish("busy", "1");
+  EXPECT_EQ(pubsub.QueueDepth(), 1u);
+  release.Notify();
+  pubsub.Drain();
+  pubsub.Unsubscribe("busy", token);
+}
+
 // All events for one key hash to one worker and are delivered in publish
 // order, even while other keys are being published concurrently.
 TEST(PubSubTest, PerKeyOrderPreservedThroughAsyncPool) {
-  PubSub pubsub(/*num_buckets=*/8, /*num_workers=*/4);
+  PubSub pubsub(/*num_workers=*/4);
   constexpr int kKeys = 6;
   constexpr int kEvents = 500;
   std::vector<std::vector<int>> received(kKeys);
@@ -88,7 +114,7 @@ TEST(PubSubTest, PerKeyOrderPreservedThroughAsyncPool) {
 // state that is invalidated right after Unsubscribe returns, exactly like
 // ObjectStore::Get's stack-allocated Notification.
 TEST(PubSubTest, NoCallbackAfterUnsubscribeReturns) {
-  PubSub pubsub(/*num_buckets=*/4, /*num_workers=*/3);
+  PubSub pubsub(/*num_workers=*/3);
   std::atomic<bool> stop{false};
   std::vector<std::thread> publishers;
   for (int p = 0; p < 3; ++p) {
@@ -119,7 +145,7 @@ TEST(PubSubTest, NoCallbackAfterUnsubscribeReturns) {
 }
 
 TEST(PubSubTest, UnsubscribeFromInsideOwnCallbackDoesNotDeadlock) {
-  PubSub pubsub(/*num_buckets=*/2, /*num_workers=*/1);
+  PubSub pubsub(/*num_workers=*/1);
   std::atomic<int> fired{0};
   uint64_t token = 0;
   token = pubsub.Subscribe("k", [&](const std::string&, const std::string&) {
@@ -137,7 +163,7 @@ TEST(PubSubTest, UnsubscribeFromInsideOwnCallbackDoesNotDeadlock) {
 // invariants checked are crash/race freedom (TSan) and that every callback
 // observes only live subscription state.
 TEST(PubSubTest, ConcurrentSubscribeUnsubscribePublishChurn) {
-  PubSub pubsub(/*num_buckets=*/8, /*num_workers=*/4);
+  PubSub pubsub(/*num_workers=*/4);
   std::atomic<bool> stop{false};
   std::atomic<uint64_t> delivered{0};
   std::vector<std::thread> publishers;
