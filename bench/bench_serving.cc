@@ -139,7 +139,7 @@ KillResult RunNodeKill(double qps, double seconds) {
 
   SleepMicros(load.duration_us / 4);
   NodeId victim;
-  auto replicas = cluster->tables().serve.GetReplicas(config.group);
+  auto replicas = cluster->tables().serve.GetReplicas(serve::kReplicaGroup);
   RAY_CHECK(replicas.ok());
   for (const auto& r : *replicas) {
     if (r.node != cluster->node(0).id()) {

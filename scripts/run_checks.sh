@@ -10,24 +10,33 @@
 #   3. Time gate: no raw sleep / clock / entropy primitive outside
 #      src/common/, and no busy-wait on modelled latency anywhere in src/
 #      (PreciseDelayMicros, empty-bodied `while (NowMicros() < ...)` loops).
-#   4. Clang thread-safety analysis: build the tidy preset with
+#   4. Option gate: every field of a `struct ...Config` / `struct ...Options`
+#      in src/ (outside src/raylib/ and src/baselines/, whose algorithm
+#      hyperparameters are the application library's API) is assigned by
+#      some test, bench, example or caller. Fields whose type is itself a
+#      ...Config / ...Options are not counted. A field nobody sets is a
+#      constant: move it next to its reader. The match is by name
+#      (`[.>]field =` in a file other than the declaring header), so it can
+#      pass a field that shares its name with another struct's assigned
+#      field, but it never fails a field that has a caller.
+#   5. Clang thread-safety analysis: build the tidy preset with
 #      -Wthread-safety -Wthread-safety-beta as errors. Loud skip when clang
 #      is not installed (gcc-only containers).
-#   5. clang-tidy lint (scripts/run_lint.sh; loud skip without clang-tidy).
-#   6. Lockdep soak: debug build (NDEBUG unset => runtime lock-order checker
+#   6. clang-tidy lint (scripts/run_lint.sh; loud skip without clang-tidy).
+#   7. Lockdep soak: debug build (NDEBUG unset => runtime lock-order checker
 #      compiled in), full ctest suite plus the seeded chaos soak. Any cycle
 #      in the lock-order graph aborts with both acquisition stacks.
 #
 # Usage: run_checks.sh [quick]
-#   quick — grep gates only (checks 1-3); used by run_tier1.sh so every CI
+#   quick — grep gates only (checks 1-4); used by run_tier1.sh so every CI
 #   run enforces the annotation discipline even without clang or a debug
-#   build. The full six-gate run is the pre-merge bar.
+#   build. The full seven-gate run is the pre-merge bar.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 MODE="${1:-full}"
 
-echo "== check 1/6: raw sync primitives outside common/sync.h =="
+echo "== check 1/7: raw sync primitives outside common/sync.h =="
 # Strip // comments before matching so prose mentioning std::mutex (e.g. the
 # layout notes in lockdep.h) doesn't trip the gate.
 raw_hits=$(grep -rnE 'std::(mutex|shared_mutex|lock_guard|unique_lock|shared_lock|condition_variable(_any)?)' \
@@ -43,7 +52,7 @@ if [[ -n "$raw_hits" ]]; then
 fi
 echo "OK: all locking goes through ray::Mutex / ray::SharedMutex"
 
-echo "== check 2/6: NO_THREAD_SAFETY_ANALYSIS budget =="
+echo "== check 2/7: NO_THREAD_SAFETY_ANALYSIS budget =="
 nts_hits=$(grep -rn 'NO_THREAD_SAFETY_ANALYSIS' src/ --include='*.h' --include='*.cc' \
   | grep -v '^src/common/sync\.h:' || true)
 nts_count=$(printf '%s' "$nts_hits" | grep -c . || true)
@@ -63,7 +72,7 @@ while IFS=: read -r file line _; do
 done <<< "$nts_hits"
 echo "OK: $nts_count/5 escape hatches, all justified"
 
-echo "== check 3/6: raw time / randomness primitives outside src/common/ =="
+echo "== check 3/7: raw time / randomness primitives outside src/common/ =="
 # Everything that observes wall-clock time, sleeps, or draws entropy must go
 # through the hookable seams in src/common/ (clock.h NowMicros/SleepMicros,
 # random.h Rng) so deterministic-schedule testing (common/dst.h) can virtualise
@@ -102,12 +111,67 @@ if [[ -n "$spin_hits" ]]; then
 fi
 echo "OK: all time and entropy flows through the hookable seams in src/common/, no spin waits"
 
+echo "== check 4/7: every runtime option has a caller =="
+# Prints `header: Struct::field` for each field nobody assigns; the last line
+# is the count of settable values.
+option_report=$(perl - <<'PERL'
+use strict;
+use warnings;
+my @files = grep { /\.(h|cc|cpp)$/ }
+  split /\n/, `find src tests bench examples perfbench -type f 2>/dev/null | sort`;
+my %text;
+for my $f (@files) {
+  open my $fh, '<', $f or die "$f: $!";
+  local $/;
+  $text{$f} = <$fh>;
+}
+my ($settable, $unset) = (0, 0);
+for my $h (grep { m{^src/.*\.h$} && !m{^src/(raylib|baselines)/} } @files) {
+  my $src = $text{$h};
+  $src =~ s{//[^\n]*}{}g;
+  $src =~ s{/\*.*?\*/}{}gs;
+  $src =~ s{^\s*#[^\n]*}{}mg;
+  while ($src =~ /\bstruct\s+(\w*(?:Config|Options))\s*\{/g) {
+    my ($struct, $depth, $body) = ($1, 1, '');
+    # Keep the struct's top level only; a nested brace pair ends a member.
+    for (my $i = pos($src); $depth && $i < length $src; $i++) {
+      my $c = substr($src, $i, 1);
+      $depth += ($c eq '{') - ($c eq '}');
+      $body .= $c eq '}' ? ';' : $c if $depth == 1;
+    }
+    my %seen;
+    for my $decl (split /;/, $body) {
+      $decl =~ s/\s*=.*//s;  # drop the default value
+      next if $decl =~ /\b(static|using|enum|struct|class|friend|typedef)\b|\(/;
+      next unless $decl =~ /^\s*(.+?)\s+(\w+)\s*$/s;
+      my ($type, $field) = ($1, $2);
+      next if $type =~ /(Config|Options)\b/ || $seen{$field}++;
+      $settable++;
+      next if grep { $_ ne $h && $text{$_} =~ /[.>]\Q$field\E\s*=[^=]/ } @files;
+      print "$h: ${struct}::$field\n";
+      $unset++;
+    }
+  }
+}
+print "$settable settable values, $unset without a caller\n";
+PERL
+)
+option_summary=$(tail -n 1 <<< "$option_report")
+option_unset=$(head -n -1 <<< "$option_report")
+if [[ -n "$option_unset" ]]; then
+  echo "FAIL: config fields that no test, bench, example or caller sets:" >&2
+  echo "$option_unset" >&2
+  echo "Make each one a named constant next to its reader, or delete it." >&2
+  exit 1
+fi
+echo "OK: $option_summary"
+
 if [[ "$MODE" == "quick" ]]; then
   echo "run_checks: quick mode — grep gates passed (run without 'quick' for the full bar)"
   exit 0
 fi
 
-echo "== check 4/6: clang thread-safety analysis (tidy preset) =="
+echo "== check 5/7: clang thread-safety analysis (tidy preset) =="
 if command -v clang++ >/dev/null 2>&1; then
   cmake --preset tidy >/dev/null
   cmake --build --preset tidy -j"$(nproc)"
@@ -117,10 +181,10 @@ else
   echo "Install LLVM (clang) to verify GUARDED_BY/REQUIRES annotations compile-time." >&2
 fi
 
-echo "== check 5/6: clang-tidy lint =="
+echo "== check 6/7: clang-tidy lint =="
 ./scripts/run_lint.sh
 
-echo "== check 6/6: lockdep soak (debug build) =="
+echo "== check 7/7: lockdep soak (debug build) =="
 cmake --preset debug >/dev/null
 cmake --build --preset debug -j"$(nproc)"
 ctest --test-dir build-debug --output-on-failure -j"$(nproc)"

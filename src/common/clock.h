@@ -26,8 +26,6 @@ inline int64_t NowMicros() {
       .count();
 }
 
-inline double NowSeconds() { return static_cast<double>(NowMicros()) / 1e6; }
-
 // Also the one way to charge a modelled delay (chain hop, control RPC, disk
 // read, accelerator time): it costs time, not CPU. Callers release every lock
 // first — a fiber must not park holding one (common/fiber.h).

@@ -483,6 +483,17 @@ void Check(bool ok, const std::string& what) {
 // Drivers.
 // ---------------------------------------------------------------------------
 
+namespace {
+// Explore's strategies: seeded-random preempts at this share of its choice
+// points; PCT demotes the running fiber at kPctDepth - 1 points per run.
+constexpr double kPreemptProbability = 0.25;
+constexpr int kPctDepth = 3;
+// Logical t0 of every run (1000s).
+constexpr int64_t kVirtualStartUs = 1'000'000'000;
+// Replays Minimize() may spend.
+constexpr int kMinimizeBudget = 400;
+}  // namespace
+
 RunResult RunOnce(const Scenario& body, uint64_t seed, ScheduleStrategy* strategy,
                   const Options& opts) {
   RAY_CHECK(!g_run.active.load()) << "DST runs cannot nest";
@@ -496,7 +507,7 @@ RunResult RunOnce(const Scenario& body, uint64_t seed, ScheduleStrategy* strateg
   g_run.seed = seed;
   g_run.steps = 0;
   g_run.max_steps = opts.max_steps;
-  g_vnow.store(opts.virtual_start_us);
+  g_vnow.store(kVirtualStartUs);
   g_virtual.store(true);
   RefreshTimeHooks();
 
@@ -541,8 +552,8 @@ RunResult RunOnce(const Scenario& body, uint64_t seed, ScheduleStrategy* strateg
 
 ExploreResult Explore(const Scenario& body, const Options& opts) {
   std::unique_ptr<ScheduleStrategy> strategy =
-      opts.use_pct ? MakePctStrategy(opts.pct_depth, opts.max_steps / 4)
-                   : MakeRandomStrategy(opts.preempt_probability);
+      opts.use_pct ? MakePctStrategy(kPctDepth, opts.max_steps / 4)
+                   : MakeRandomStrategy(kPreemptProbability);
   ExploreResult result;
   for (int i = 0; i < opts.max_schedules; ++i) {
     RunResult r = RunOnce(body, opts.base_seed + static_cast<uint64_t>(i), strategy.get(), opts);
@@ -562,7 +573,7 @@ RunResult Replay(const Scenario& body, const Trace& trace, uint64_t seed, const 
 
 RunResult Minimize(const Scenario& body, const RunResult& failing, const Options& opts) {
   RunResult best = failing;
-  int budget = opts.minimize_budget;
+  int budget = kMinimizeBudget;
   bool progress = true;
   while (progress && budget > 0) {
     progress = false;

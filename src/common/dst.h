@@ -99,11 +99,11 @@ class ScheduleStrategy {
 };
 
 // Uniform choices; preempts with the given probability at each choice point.
-std::unique_ptr<ScheduleStrategy> MakeRandomStrategy(double preempt_probability = 0.25);
+std::unique_ptr<ScheduleStrategy> MakeRandomStrategy(double preempt_probability);
 // PCT-flavored (Burckhardt et al.): fibers get random priorities, the
 // highest-priority runnable fiber runs, and `depth - 1` random points in the
 // run demote the current fiber below everyone else.
-std::unique_ptr<ScheduleStrategy> MakePctStrategy(int depth = 3, uint64_t expected_steps = 2000);
+std::unique_ptr<ScheduleStrategy> MakePctStrategy(int depth, uint64_t expected_steps);
 // Replays a recorded trace decision-for-decision (cursor order; out-of-range
 // decisions clamp, exhausted traces answer 0).
 std::unique_ptr<ScheduleStrategy> MakeReplayStrategy(Trace trace);
@@ -115,12 +115,8 @@ std::unique_ptr<ScheduleStrategy> MakeReplayStrategy(Trace trace);
 struct Options {
   int max_schedules = 100;   // Explore: schedules per scenario
   uint64_t base_seed = 1;    // Explore: seed of schedule i is base_seed + i
-  double preempt_probability = 0.25;
   bool use_pct = false;      // Explore: PCT instead of seeded-random
-  int pct_depth = 3;
   uint64_t max_steps = 200000;  // dispatches+choices before a run is a livelock
-  int64_t virtual_start_us = 1000000000;  // logical t0 (1000s)
-  int minimize_budget = 400;  // replays Minimize() may spend
 };
 
 struct RunResult {

@@ -109,6 +109,9 @@ constexpr size_t kDefaultStackBytes = 64 * 1024;
 // Sanitizer redzones/fake frames inflate stack usage several-fold.
 constexpr size_t kSanitizerStackBytes = 256 * 1024;
 constexpr size_t kSlotsPerSlab = 256;
+// With guard pages on, only the first kMaxGuardedStacks stacks get one: each
+// guard costs two VMAs, a bounded budget against vm.max_map_count.
+constexpr size_t kMaxGuardedStacks = 8192;
 
 // ---------------------------------------------------------------------------
 // Per-carrier-thread state. tl_carrier identifies the carrier a fiber is
@@ -151,10 +154,9 @@ class StackPool {
     void* cookie = nullptr;
   };
 
-  void Init(size_t stack_bytes, bool guard_pages, size_t max_guarded) {
+  void Init(size_t stack_bytes, bool guard_pages) {
     stack_bytes_ = RoundUpToPage(stack_bytes);
     guard_pages_ = guard_pages;
-    max_guarded_ = max_guarded;
     stride_ = stack_bytes_ + PageSize();  // always reserve the guard slot
   }
 
@@ -192,7 +194,7 @@ class StackPool {
     char* p = static_cast<char*>(addr);
     for (size_t i = 0; i < kSlotsPerSlab; ++i) {
       char* slot_start = p + i * stride_;
-      if (guard_pages_ && guarded_ < max_guarded_) {
+      if (guard_pages_ && guarded_ < kMaxGuardedStacks) {
         RAY_CHECK(mprotect(slot_start, PageSize(), PROT_NONE) == 0);
         ++guarded_;
       }
@@ -210,7 +212,6 @@ class StackPool {
   size_t stack_bytes_ = 0;
   size_t stride_ = 0;
   bool guard_pages_ = false;
-  size_t max_guarded_ = 0;
   size_t guarded_ GUARDED_BY(mu_) = 0;
 };
 
@@ -245,7 +246,6 @@ struct FiberScheduler::Impl {
   std::atomic<size_t> peak_resident{0};
   std::atomic<uint64_t> switches{0};
   std::atomic<uint64_t> parks{0};
-  std::atomic<uint64_t> spawned{0};
 
   Mutex join_mu{"FiberScheduler.join_mu"};
   CondVar join_cv;
@@ -837,7 +837,7 @@ FiberScheduler::FiberScheduler(const SchedulerOptions& options) : impl_(new Impl
     im.opts.stack_bytes = kDefaultStackBytes;
 #endif
   }
-  im.stacks.Init(im.opts.stack_bytes, im.opts.guard_pages, im.opts.max_guarded_stacks);
+  im.stacks.Init(im.opts.stack_bytes, im.opts.guard_pages);
   im.carriers.reserve(im.opts.num_carriers);
   for (int i = 0; i < im.opts.num_carriers; ++i) {
     im.carriers.emplace_back([this] {
@@ -902,7 +902,6 @@ std::shared_ptr<Fiber> FiberScheduler::Spawn(std::function<void()> body, Priorit
 #endif
       return nullptr;
     }
-    im.spawned.fetch_add(1, std::memory_order_relaxed);
     const size_t now_resident = im.resident.fetch_add(1) + 1;
     size_t peak = im.peak_resident.load(std::memory_order_relaxed);
     while (now_resident > peak &&
@@ -942,7 +941,6 @@ size_t FiberScheduler::NumResident() const { return impl_->resident.load(); }
 size_t FiberScheduler::PeakResident() const { return impl_->peak_resident.load(); }
 uint64_t FiberScheduler::NumSwitches() const { return impl_->switches.load(); }
 uint64_t FiberScheduler::NumParks() const { return impl_->parks.load(); }
-uint64_t FiberScheduler::NumSpawned() const { return impl_->spawned.load(); }
 
 }  // namespace fiber
 }  // namespace ray

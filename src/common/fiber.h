@@ -172,14 +172,14 @@ struct SchedulerOptions {
   size_t stack_bytes = 0;
   // Place a PROT_NONE guard page below each stack so overflow faults
   // instead of corrupting a neighbour. Defaults on in debug builds. Each
-  // guard costs two VMAs, so only the first `max_guarded_stacks` stacks get
-  // one — a bounded budget against vm.max_map_count (65530 default).
+  // guard costs two VMAs, so only the first 8192 stacks get one — a bounded
+  // budget against vm.max_map_count (65530 default; kMaxGuardedStacks in
+  // fiber.cc).
 #ifdef NDEBUG
   bool guard_pages = false;
 #else
   bool guard_pages = true;
 #endif
-  size_t max_guarded_stacks = 8192;
   // Deterministic-schedule-testing mode (common/dst.h): a single carrier
   // whose every scheduling decision — runnable-fiber pick, timer firing
   // order, CondVar wake victim — is delegated to the active dst run's
@@ -294,7 +294,6 @@ class FiberScheduler {
   // Completed parks: a blocked Get / mailbox wait that suspended a fiber
   // without parking its carrier thread shows up here.
   uint64_t NumParks() const;
-  uint64_t NumSpawned() const;
 
  private:
   friend class Fiber;

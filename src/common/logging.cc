@@ -7,7 +7,6 @@
 
 namespace ray {
 
-std::atomic<LogLevel> Logger::threshold_{LogLevel::kInfo};
 std::atomic<Logger::FatalHook> Logger::fatal_hook_{nullptr};
 
 void Logger::RunFatalHook() {

@@ -1,6 +1,5 @@
 // Leveled logging with stream syntax: RAY_LOG(INFO) << "...";
-// Severity is filtered globally; DEBUG is compiled in but off by default so
-// tests can enable it for postmortems without rebuilding.
+// Severity is filtered globally: DEBUG statements compile but never print.
 #ifndef RAY_COMMON_LOGGING_H_
 #define RAY_COMMON_LOGGING_H_
 
@@ -19,14 +18,12 @@ class Logger {
   // flight recorder hooks in here to dump a postmortem timeline.
   using FatalHook = void (*)();
 
-  static LogLevel Threshold() { return threshold_.load(std::memory_order_relaxed); }
-  static void SetThreshold(LogLevel level) { threshold_.store(level, std::memory_order_relaxed); }
+  static constexpr LogLevel Threshold() { return LogLevel::kInfo; }
   static void Emit(LogLevel level, const char* file, int line, const std::string& message);
   static void SetFatalHook(FatalHook hook) { fatal_hook_.store(hook, std::memory_order_release); }
   static void RunFatalHook();
 
  private:
-  static std::atomic<LogLevel> threshold_;
   static std::atomic<FatalHook> fatal_hook_;
 };
 

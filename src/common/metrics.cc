@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 
 namespace ray {
 
@@ -90,13 +89,6 @@ double Histogram::Percentile(double p) const {
   size_t hi = std::min(lo + 1, sorted.size() - 1);
   double frac = rank - static_cast<double>(lo);
   return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
-}
-
-std::string Histogram::Summary(const std::string& unit) const {
-  std::ostringstream out;
-  out << "n=" << Count() << " mean=" << Mean() << unit << " p50=" << Percentile(50) << unit
-      << " p99=" << Percentile(99) << unit << " max=" << Max() << unit;
-  return out.str();
 }
 
 void Gauge::Add(int64_t n) {

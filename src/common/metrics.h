@@ -46,8 +46,6 @@ class Histogram {
   double Percentile(double p) const;
   double Sum() const;
 
-  std::string Summary(const std::string& unit) const;
-
  private:
   mutable Mutex mu_{"Histogram.mu"};
   size_t max_samples_;

@@ -67,8 +67,6 @@ class Reader {
     return p;
   }
 
-  size_t Remaining() const { return size_ - pos_; }
-
  private:
   void Require(size_t n) const {
     if (pos_ + n > size_) {

@@ -8,16 +8,12 @@ const char* StatusCodeName(StatusCode code) {
       return "OK";
     case StatusCode::kKeyNotFound:
       return "KeyNotFound";
-    case StatusCode::kAlreadyExists:
-      return "AlreadyExists";
     case StatusCode::kTimedOut:
       return "TimedOut";
     case StatusCode::kInvalidArgument:
       return "InvalidArgument";
     case StatusCode::kObjectLost:
       return "ObjectLost";
-    case StatusCode::kActorDead:
-      return "ActorDead";
     case StatusCode::kNodeDead:
       return "NodeDead";
     case StatusCode::kResourceExhausted:
@@ -26,8 +22,6 @@ const char* StatusCodeName(StatusCode code) {
       return "Unavailable";
     case StatusCode::kInternal:
       return "Internal";
-    case StatusCode::kCancelled:
-      return "Cancelled";
   }
   return "Unknown";
 }

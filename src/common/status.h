@@ -15,16 +15,13 @@ namespace ray {
 enum class StatusCode {
   kOk = 0,
   kKeyNotFound,
-  kAlreadyExists,
   kTimedOut,
   kInvalidArgument,
   kObjectLost,      // object's plasma copies all disappeared (node death)
-  kActorDead,       // actor process died and cannot be restarted
   kNodeDead,        // target node is not alive
   kResourceExhausted,
   kUnavailable,     // component is shut down or temporarily unreachable
   kInternal,
-  kCancelled,
 };
 
 const char* StatusCodeName(StatusCode code);
@@ -36,18 +33,15 @@ class Status {
 
   static Status Ok() { return Status(); }
   static Status KeyNotFound(std::string msg = "") { return {StatusCode::kKeyNotFound, std::move(msg)}; }
-  static Status AlreadyExists(std::string msg = "") { return {StatusCode::kAlreadyExists, std::move(msg)}; }
   static Status TimedOut(std::string msg = "") { return {StatusCode::kTimedOut, std::move(msg)}; }
   static Status InvalidArgument(std::string msg = "") { return {StatusCode::kInvalidArgument, std::move(msg)}; }
   static Status ObjectLost(std::string msg = "") { return {StatusCode::kObjectLost, std::move(msg)}; }
-  static Status ActorDead(std::string msg = "") { return {StatusCode::kActorDead, std::move(msg)}; }
   static Status NodeDead(std::string msg = "") { return {StatusCode::kNodeDead, std::move(msg)}; }
   static Status ResourceExhausted(std::string msg = "") {
     return {StatusCode::kResourceExhausted, std::move(msg)};
   }
   static Status Unavailable(std::string msg = "") { return {StatusCode::kUnavailable, std::move(msg)}; }
   static Status Internal(std::string msg = "") { return {StatusCode::kInternal, std::move(msg)}; }
-  static Status Cancelled(std::string msg = "") { return {StatusCode::kCancelled, std::move(msg)}; }
 
   bool ok() const { return code_ == StatusCode::kOk; }
   StatusCode code() const { return code_; }

@@ -38,8 +38,6 @@ class ThreadPool {
     threads_.clear();
   }
 
-  size_t NumThreads() const { return threads_.size(); }
-
  private:
   void Run() {
     while (auto fn = queue_.Pop()) {

@@ -8,6 +8,11 @@
 namespace ray {
 namespace gcs {
 
+namespace {
+// Simulated bandwidth for state transfer when a replica rejoins, bytes/s.
+constexpr double kStateTransferBytesPerSec = 2e9;
+}  // namespace
+
 ChainShard::ChainShard(const ChainConfig& config) : config_(config) {
   RAY_CHECK(config_.num_replicas >= 1);
   for (int i = 0; i < config_.num_replicas; ++i) {
@@ -46,7 +51,7 @@ void ChainShard::EnsureHealthyLocked() const {
     auto replacement = std::make_unique<Replica>();
     size_t bytes = replicas_.back()->store.MemoryBytes() + replicas_.back()->store.DiskBytes();
     int64_t transfer_us =
-        static_cast<int64_t>(static_cast<double>(bytes) / config_.state_transfer_bytes_per_sec * 1e6);
+        static_cast<int64_t>(static_cast<double>(bytes) / kStateTransferBytesPerSec * 1e6);
     // The chain serves reads/writes from the shortened chain while the new
     // tail catches up; only the final handoff is blocking. We emulate the
     // catch-up off the critical path by charging a small fixed handoff cost.

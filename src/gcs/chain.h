@@ -25,8 +25,6 @@ struct ChainConfig {
   int64_t hop_latency_us = 25;
   // Time for the master to detect a failure after it is reported.
   int64_t failure_detection_us = 8000;
-  // Simulated bandwidth for state transfer when a replica rejoins, bytes/s.
-  double state_transfer_bytes_per_sec = 2e9;
 };
 
 // One write in a group-committed batch (see Gcs write batching): a whole

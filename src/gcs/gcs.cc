@@ -9,10 +9,18 @@
 namespace ray {
 namespace gcs {
 
+namespace {
+// Max writes coalesced into one chain replication round.
+constexpr size_t kBatchMaxOps = 256;
+// Async publish workers; all events for one key hash to one worker, which
+// preserves per-key delivery order.
+constexpr int kPublishWorkers = 2;
+}  // namespace
+
 // --- ShardBatcher -----------------------------------------------------------
 
-Gcs::ShardBatcher::ShardBatcher(ChainShard* shard, PubSub* pubsub, int max_ops)
-    : shard_(shard), pubsub_(pubsub), max_ops_(static_cast<size_t>(max_ops)) {
+Gcs::ShardBatcher::ShardBatcher(ChainShard* shard, PubSub* pubsub)
+    : shard_(shard), pubsub_(pubsub) {
   flusher_ = std::thread([this] { FlusherLoop(); });
 }
 
@@ -63,7 +71,7 @@ void Gcs::ShardBatcher::FlusherLoop() {
     }
     batch.clear();
     ops.clear();
-    while (!queue_.empty() && batch.size() < max_ops_) {
+    while (!queue_.empty() && batch.size() < kBatchMaxOps) {
       batch.push_back(queue_.front());
       queue_.pop_front();
     }
@@ -125,12 +133,9 @@ Gcs::Gcs(const GcsConfig& config) : config_(config) {
   for (int i = 0; i < config_.num_shards; ++i) {
     shards_.push_back(std::make_unique<ChainShard>(config_.chain));
   }
-  pubsub_ = std::make_unique<PubSub>(config_.publish_workers);
-  if (config_.batch_max_ops > 1) {
-    for (auto& shard : shards_) {
-      batchers_.push_back(
-          std::make_unique<ShardBatcher>(shard.get(), pubsub_.get(), config_.batch_max_ops));
-    }
+  pubsub_ = std::make_unique<PubSub>(kPublishWorkers);
+  for (auto& shard : shards_) {
+    batchers_.push_back(std::make_unique<ShardBatcher>(shard.get(), pubsub_.get()));
   }
 }
 
@@ -149,28 +154,7 @@ ChainShard& Gcs::ShardFor(const std::string& key) const {
 
 Status Gcs::Write(ChainOp op, bool publish) {
   size_t index = ShardIndexFor(op.key);
-  if (!batchers_.empty()) {
-    return batchers_[index]->Execute(std::move(op), publish);
-  }
-  // Batching disabled: run the op as its own round on the caller's thread.
-  ChainShard& shard = *shards_[index];
-  trace::Span span(trace::Stage::kGcsCommit, TaskId(), ObjectId(), NodeId(), NodeId(), 1);
-  Status status;
-  switch (op.kind) {
-    case ChainOp::Kind::kPut:
-      status = shard.Put(op.key, op.value);
-      break;
-    case ChainOp::Kind::kAppend:
-      status = shard.Append(op.key, op.value);
-      break;
-    case ChainOp::Kind::kDelete:
-      status = shard.Delete(op.key);
-      break;
-  }
-  if (publish && status.ok()) {
-    pubsub_->Publish(op.key, op.value);
-  }
-  return status;
+  return batchers_[index]->Execute(std::move(op), publish);
 }
 
 Status Gcs::Put(const std::string& key, const std::string& value) {
@@ -186,16 +170,6 @@ Status Gcs::Append(const std::string& key, const std::string& element) {
 }
 
 void Gcs::WriteAsync(ChainOp op, WriteCallback done) {
-  if (batchers_.empty()) {
-    // Batching disabled: commit inline (the auto-flush check rides along, as
-    // in the synchronous path).
-    Status status = Write(std::move(op), /*publish=*/true);
-    if (status.ok()) {
-      MaybeAutoFlush();
-    }
-    done(status);
-    return;
-  }
   if (config_.flush_threshold_bytes > 0) {
     // Same check after the commit. Flushing is in-memory work on the shards,
     // so it may run on the flusher thread (see WriteCallback).

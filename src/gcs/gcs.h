@@ -40,17 +40,6 @@ struct GcsConfig {
   // When > 0, entries matching the flush predicate are moved to the disk
   // tier whenever the in-memory footprint exceeds this many bytes (Fig 10b).
   size_t flush_threshold_bytes = 0;
-
-  // --- control-plane fast path knobs ---
-  // Max writes coalesced into one chain replication round. <= 1 disables
-  // group commit: every write runs its own round on the caller's thread (the
-  // seed behavior).
-  int batch_max_ops = 256;
-  // Async publish workers; all events for one key hash to one worker, which
-  // preserves per-key delivery order. 0 = deliver inline on the committing
-  // thread (deterministic; for tests — do not combine with batching and
-  // subscriber callbacks that write back into the GCS).
-  int publish_workers = 2;
 };
 
 class Gcs {
@@ -64,12 +53,10 @@ class Gcs {
   // Asynchronous writes: enqueue the op into the shard's group-commit round
   // and return immediately; `done(status)` runs after the chain round commits
   // and the publish has been queued, on the batcher's flusher thread (outside
-  // every batcher lock). When batching is disabled (batch_max_ops <= 1) the
-  // write commits inline on the caller's thread and `done` runs before the
-  // call returns. These are the backbone of the async lineage path and of
-  // task completion: submitters fire-and-count, a durability watermark
-  // advances in the callbacks, and a finished task's kDone, seal and
-  // location publish run as a chain of them.
+  // every batcher lock). These are the backbone of the async lineage path and
+  // of task completion: submitters fire-and-count, a durability watermark
+  // advances in the callbacks, and a finished task's kDone, seal and location
+  // publish run as a chain of them.
   //
   // A callback may only do in-memory work and issue further *Async writes.
   // It must never make a synchronous GCS call (Put, Append, Get, ...): that
@@ -115,16 +102,13 @@ class Gcs {
   // Forces a flush pass over all shards; returns bytes moved to disk.
   size_t Flush();
 
-  ChainShard& Shard(size_t index) { return *shards_[index]; }
-  size_t NumShards() const { return shards_.size(); }
-
  private:
   // Per-shard group-commit daemon. Writers enqueue an op and block; the
   // flusher thread commits everything queued in one ApplyBatch round, then
   // publishes Put/Append ops in commit order and wakes the writers.
   class ShardBatcher {
    public:
-    ShardBatcher(ChainShard* shard, PubSub* pubsub, int max_ops);
+    ShardBatcher(ChainShard* shard, PubSub* pubsub);
     ~ShardBatcher();
 
     Status Execute(ChainOp op, bool publish);
@@ -148,7 +132,6 @@ class Gcs {
 
     ChainShard* shard_;
     PubSub* pubsub_;
-    size_t max_ops_;
 
     Mutex mu_{"Gcs.ShardBatcher.mu"};
     CondVar work_cv_;
@@ -162,8 +145,8 @@ class Gcs {
 
   size_t ShardIndexFor(const std::string& key) const;
   ChainShard& ShardFor(const std::string& key) const;
-  // Routes a write through the shard's batcher (or directly when batching is
-  // disabled), publishing after commit if `publish`.
+  // Routes a write through the shard's batcher, publishing after commit if
+  // `publish`.
   Status Write(ChainOp op, bool publish);
   // Async counterpart for PutAsync/AppendAsync (always publishes).
   void WriteAsync(ChainOp op, WriteCallback done);

@@ -113,11 +113,11 @@ void LivenessView::RemoveDeathCallback(uint64_t token) {
 
 // --- GcsMonitor ---
 
-GcsMonitor::GcsMonitor(GcsTables* tables, const MonitorConfig& config)
-    : tables_(tables), config_(config) {
-  if (config_.heartbeat_interval_us <= 0) {
-    config_.heartbeat_interval_us = 20'000;
-  }
+GcsMonitor::GcsMonitor(GcsTables* tables, int64_t heartbeat_interval_us,
+                       const MonitorConfig& config)
+    : tables_(tables),
+      config_(config),
+      sweep_interval_us_(std::max<int64_t>(1'000, heartbeat_interval_us / 4)) {
   // Each missed interval is allowed the configured cadence plus the host's
   // measured (and build-scaled) scheduling slack. With the naive
   // miss_threshold * interval formula, a 20ms x 5 window was tighter than
@@ -126,10 +126,7 @@ GcsMonitor::GcsMonitor(GcsTables* tables, const MonitorConfig& config)
   // window from a measurement replaces that guesswork.
   detection_bound_us_ =
       static_cast<int64_t>(config_.miss_threshold) *
-      (config_.heartbeat_interval_us + kSlackMultiplier * SchedulingSlackUs());
-  sweep_interval_us_ = config_.sweep_interval_us > 0
-                           ? config_.sweep_interval_us
-                           : std::max<int64_t>(1'000, config_.heartbeat_interval_us / 4);
+      (heartbeat_interval_us + kSlackMultiplier * SchedulingSlackUs());
   sweep_thread_ = std::thread([this] { SweepLoop(); });
 }
 

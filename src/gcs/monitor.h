@@ -20,10 +20,11 @@
 //
 // Detection latency: a node's death becomes visible no sooner than the wire
 // going dark and no later than roughly
-//     miss_threshold * heartbeat_interval_us + sweep_interval_us
-// after its last heartbeat. Consumers therefore treat "alive in the view" as
-// a hint that can be stale for one detection window, and every path that
-// acts on it tolerates the resulting failed RPC/transfer by retrying.
+//     miss_threshold * heartbeat_interval_us + heartbeat_interval_us / 4
+// after its last heartbeat (the monitor sweeps four times per interval).
+// Consumers therefore treat "alive in the view" as a hint that can be stale
+// for one detection window, and every path that acts on it tolerates the
+// resulting failed RPC/transfer by retrying.
 #ifndef RAY_GCS_MONITOR_H_
 #define RAY_GCS_MONITOR_H_
 
@@ -90,19 +91,16 @@ class LivenessView {
 // GcsMonitor: heartbeat sweeper that turns silence into MarkDead.
 // ---------------------------------------------------------------------------
 struct MonitorConfig {
-  // The cadence nodes report at. 0 = inherit the local schedulers'
-  // heartbeat_interval_us (the Cluster fills it in so the two never drift
-  // apart); standalone monitors fall back to 20ms.
-  int64_t heartbeat_interval_us = 0;
   // Consecutive missed intervals before a node is declared dead.
   int miss_threshold = 5;
-  // Sweep cadence; 0 derives heartbeat_interval_us / 4 (clamped to >= 1ms).
-  int64_t sweep_interval_us = 0;
 };
 
 class GcsMonitor {
  public:
-  GcsMonitor(GcsTables* tables, const MonitorConfig& config);
+  // `heartbeat_interval_us` is the cadence nodes report at: the Cluster
+  // passes its local schedulers' interval, so detector and reporters never
+  // drift apart.
+  GcsMonitor(GcsTables* tables, int64_t heartbeat_interval_us, const MonitorConfig& config);
   ~GcsMonitor();
 
   GcsMonitor(const GcsMonitor&) = delete;

@@ -1,7 +1,5 @@
 #include "gcs/pubsub.h"
 
-#include <algorithm>
-
 #include "common/logging.h"
 #include "common/metrics.h"
 
@@ -9,7 +7,8 @@ namespace ray {
 namespace gcs {
 
 PubSub::PubSub(int num_workers) {
-  workers_.reserve(static_cast<size_t>(std::max(0, num_workers)));
+  RAY_CHECK(num_workers >= 1);
+  workers_.reserve(static_cast<size_t>(num_workers));
   for (int i = 0; i < num_workers; ++i) {
     auto worker = std::make_unique<Worker>();
     Worker* raw = worker.get();
@@ -111,10 +110,6 @@ void PubSub::Deliver(const std::string& key, const std::string& value) {
 }
 
 void PubSub::Publish(const std::string& key, const std::string& value) {
-  if (workers_.empty()) {
-    Deliver(key, value);
-    return;
-  }
   {
     // No listener: drop the event here rather than copy it into a worker
     // queue. The caller publishes after the write committed, so a Subscribe

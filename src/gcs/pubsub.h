@@ -20,10 +20,6 @@
 // may not reach it (nobody was listening, so it was dropped). The GCS
 // publishes a write only after it has committed, so a subscriber that reads
 // the key after Subscribe returns sees every write it was not sent.
-//
-// With zero workers, Publish delivers inline on the caller's thread (the
-// seed behavior, minus the global mutex) — used by tests that need
-// deterministic synchronous delivery.
 #ifndef RAY_GCS_PUBSUB_H_
 #define RAY_GCS_PUBSUB_H_
 
@@ -46,6 +42,7 @@ class PubSub {
  public:
   using Callback = std::function<void(const std::string& key, const std::string& value)>;
 
+  // `num_workers` >= 1.
   explicit PubSub(int num_workers);
   ~PubSub();
 
@@ -58,8 +55,8 @@ class PubSub {
   // it).
   void Unsubscribe(const std::string& key, uint64_t token);
 
-  // Async when workers exist (returns before delivery), inline otherwise. A
-  // key with no subscription costs one shared-locked lookup and nothing else.
+  // Returns before delivery. A key with no subscription costs one
+  // shared-locked lookup and nothing else.
   void Publish(const std::string& key, const std::string& value);
 
   // Blocks until every event published before this call has been delivered.

@@ -109,20 +109,6 @@ Result<TaskId> ObjectTable::GetCreatingTask(const ObjectId& object) const {
 
 // --- TaskTable ---
 
-const char* TaskStateName(TaskState state) {
-  switch (state) {
-    case TaskState::kPending:
-      return "PENDING";
-    case TaskState::kRunning:
-      return "RUNNING";
-    case TaskState::kDone:
-      return "DONE";
-    case TaskState::kLost:
-      return "LOST";
-  }
-  return "UNKNOWN";
-}
-
 Status TaskTable::AddTask(const TaskId& task, const std::string& spec_bytes) {
   return gcs_->Put(kSpecPrefix + task.Binary(), spec_bytes);
 }
@@ -433,8 +419,6 @@ Result<std::string> ServeTable::GetMetrics(const std::string& group) const {
 Status FunctionTable::RegisterFunction(const FunctionId& fn, const std::string& name) {
   return gcs_->Put(FunctionKey(fn), name);
 }
-
-Result<std::string> FunctionTable::GetName(const FunctionId& fn) const { return gcs_->Get(FunctionKey(fn)); }
 
 // --- EventLog ---
 

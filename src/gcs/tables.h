@@ -64,8 +64,6 @@ class ObjectTable {
 // ---------------------------------------------------------------------------
 enum class TaskState : uint8_t { kPending = 0, kRunning = 1, kDone = 2, kLost = 3 };
 
-const char* TaskStateName(TaskState state);
-
 class TaskTable {
  public:
   // Key prefix for lineage entries; registered as flushable (Fig. 10b).
@@ -211,7 +209,6 @@ class FunctionTable {
   explicit FunctionTable(Gcs* gcs) : gcs_(gcs) {}
 
   Status RegisterFunction(const FunctionId& fn, const std::string& name);
-  Result<std::string> GetName(const FunctionId& fn) const;
 
  private:
   Gcs* gcs_;

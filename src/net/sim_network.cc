@@ -77,17 +77,6 @@ void SimNetwork::SetDropProbability(double p) {
   chaos_drop_p_ = p;
 }
 
-void SimNetwork::SetLinkDropProbability(const NodeId& a, const NodeId& b, double p) {
-  MutexLock lock(chaos_mu_);
-  if (p <= 0.0) {
-    link_drop_p_[a].erase(b);
-    link_drop_p_[b].erase(a);
-  } else {
-    link_drop_p_[a][b] = p;
-    link_drop_p_[b][a] = p;
-  }
-}
-
 void SimNetwork::SetPartitioned(const NodeId& a, const NodeId& b, bool on) {
   MutexLock lock(chaos_mu_);
   if (on) {
@@ -120,13 +109,7 @@ SimNetwork::ChaosVerdict SimNetwork::JudgeChaos(const NodeId& from, const NodeId
     v.drop = true;
     return v;
   }
-  double drop_p = chaos_drop_p_;
-  if (auto l = link_drop_p_.find(from); l != link_drop_p_.end()) {
-    if (auto e = l->second.find(to); e != l->second.end()) {
-      drop_p = std::max(drop_p, e->second);
-    }
-  }
-  if (drop_p > 0.0 && chaos_rng_.Uniform() < drop_p) {
+  if (chaos_drop_p_ > 0.0 && chaos_rng_.Uniform() < chaos_drop_p_) {
     v.drop = true;
     return v;
   }
@@ -160,7 +143,6 @@ uint64_t SimNetwork::TransferAsync(const NodeId& from, const NodeId& to, uint64_
   if (chaos_enabled_.load(std::memory_order_acquire)) {
     ChaosVerdict v = JudgeChaos(from, to);
     if (v.drop) {
-      chaos_drops_.fetch_add(1, std::memory_order_relaxed);
       // kUnavailable, not kNodeDead: a lost packet must look like a flaky
       // link, never like a corpse — liveness decisions belong to the
       // heartbeat detector alone.
@@ -326,7 +308,6 @@ Status SimNetwork::ControlRpc(const NodeId& from, const NodeId& to) {
   if (from != to && chaos_enabled_.load(std::memory_order_acquire)) {
     ChaosVerdict v = JudgeChaos(from, to);
     if (v.drop) {
-      chaos_drops_.fetch_add(1, std::memory_order_relaxed);
       return Status::Unavailable("chaos: rpc dropped");
     }
     jitter_us = v.jitter_us;

@@ -10,7 +10,7 @@
 //   2. NIC serialization: concurrent transfers sharing a NIC queue behind
 //      each other via a virtual-time reservation, so aggregate bandwidth is
 //      conserved under contention.
-// The extra_scheduler_latency knob reproduces the Fig. 12b ablation.
+// SetExtraSchedulerLatencyMicros reproduces the Fig. 12b ablation.
 //
 // Data-plane refactor: transfers are scheduled asynchronously. TransferAsync
 // reserves NIC time immediately and fires a completion callback from an
@@ -45,7 +45,6 @@ struct NetConfig {
   double link_bandwidth_bytes_s = 3.125e9;        // 25 Gbps NIC
   double per_stream_bandwidth_bytes_s = 1.3e9;    // single TCP stream ceiling
   int64_t control_latency_us = 30;                // control-plane RPC cost
-  int64_t extra_scheduler_latency_us = 0;         // Fig. 12b ablation
 };
 
 class SimNetwork {
@@ -116,21 +115,16 @@ class SimNetwork {
   void DisableChaos();               // stops injection, keeps knob settings
   // Probability that any message (transfer chunk or control RPC) is lost.
   void SetDropProbability(double p);
-  // Per-link override, applied in both directions; max with the default.
-  void SetLinkDropProbability(const NodeId& a, const NodeId& b, double p);
   // Full bidirectional partition between two nodes while `on`.
   void SetPartitioned(const NodeId& a, const NodeId& b, bool on);
   // Scales the node's effective bandwidth (0 < scale <= 1; 1 removes it).
   void SetNodeBandwidthScale(const NodeId& node, double scale);
   // Uniform extra delay in [0, us] added to transfers and control RPCs.
   void SetJitterMaxMicros(int64_t us);
-  uint64_t NumChaosDrops() const { return chaos_drops_.load(std::memory_order_relaxed); }
 
+  // Fig. 12b ablation: extra latency on every SchedulerHop.
   void SetExtraSchedulerLatencyMicros(int64_t us) {
     extra_scheduler_latency_us_.store(us, std::memory_order_relaxed);
-  }
-  int64_t ExtraSchedulerLatencyMicros() const {
-    return extra_scheduler_latency_us_.load(std::memory_order_relaxed);
   }
 
   const NetConfig& config() const { return config_; }
@@ -206,14 +200,10 @@ class SimNetwork {
   // The atomic keeps the no-chaos fast path to one relaxed load; everything
   // else is only touched under chaos_mu_ when injection is on.
   std::atomic<bool> chaos_enabled_{false};
-  std::atomic<uint64_t> chaos_drops_{0};
   mutable Mutex chaos_mu_{"SimNetwork.chaos_mu"};
   Rng chaos_rng_ GUARDED_BY(chaos_mu_){0};
   double chaos_drop_p_ GUARDED_BY(chaos_mu_) = 0.0;
   int64_t chaos_jitter_max_us_ GUARDED_BY(chaos_mu_) = 0;
-  // Both directions of a pair are stored, so a verdict is one lookup.
-  std::unordered_map<NodeId, std::unordered_map<NodeId, double>> link_drop_p_
-      GUARDED_BY(chaos_mu_);
   std::unordered_map<NodeId, std::unordered_set<NodeId>> partitioned_ GUARDED_BY(chaos_mu_);
   std::unordered_map<NodeId, double> bandwidth_scale_ GUARDED_BY(chaos_mu_);
 };

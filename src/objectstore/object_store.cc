@@ -89,12 +89,8 @@ ObjectStore::ObjectStore(const NodeId& node, gcs::GcsTables* tables, SimNetwork*
       config_(config),
       liveness_(liveness),
       copy_pool_(static_cast<size_t>(std::max(1, config.num_transfer_threads))) {
-  PullManagerConfig pull_config;
-  pull_config.chunk_bytes = config_.pull_chunk_bytes;
-  pull_config.num_transfer_streams = std::max(1, config_.num_transfer_threads);
-  pull_config.parallel_copy_threshold = config_.parallel_copy_threshold;
   pull_manager_ = std::make_unique<PullManager>(node_, tables_, net_, this, &copy_pool_,
-                                                pull_config, liveness_);
+                                                config_, liveness_);
 }
 
 ObjectStore::~ObjectStore() {
@@ -184,7 +180,7 @@ Result<BufferPtr> ObjectStore::GetLocal(const ObjectId& id) {
     size_t size = it->second.buffer->Size();
     trace::Span span(trace::Stage::kPromote, TaskId(), id, node_, NodeId(), size);
     lock.Unlock();
-    SleepMicros(static_cast<int64_t>(static_cast<double>(size) / config_.disk_read_bytes_per_sec * 1e6));
+    SleepMicros(static_cast<int64_t>(static_cast<double>(size) / kDiskReadBytesPerSec * 1e6));
     lock.Lock();
     it = objects_.find(id);
     if (it == objects_.end()) {

@@ -31,18 +31,22 @@ namespace ray {
 
 class PullManager;
 
+// Sentinel for ObjectStoreConfig::pull_chunk_bytes: size chunks from the
+// measured bandwidth-delay product instead of a fixed constant.
+inline constexpr size_t kAutoChunkBytes = static_cast<size_t>(-1);
+
 struct ObjectStoreConfig {
   size_t capacity_bytes = 4ULL << 30;
   int num_transfer_threads = 8;
   // Objects at or above this size are copied by multiple transfer threads.
   size_t parallel_copy_threshold = 512 * 1024;
-  // Penalty bandwidth for reading an object back from the disk tier.
-  double disk_read_bytes_per_sec = 500e6;
-  // Chunk size for the pipelined pull path. SIZE_MAX (the default) autotunes
-  // from the measured bandwidth-delay product (see PullManagerConfig);
+  // Chunk size for the pipelined pull path. kAutoChunkBytes (the default)
+  // derives it from measured per-chunk bandwidth and latency EMAs — the
+  // chunk is a multiple of the bandwidth-delay product, so transfer time
+  // dominates per-chunk setup latency without bloating failover restarts.
   // 0 = monolithic single-chunk pulls (the pre-refactor behavior, kept for
   // the bench ablation); anything else is a fixed size.
-  size_t pull_chunk_bytes = static_cast<size_t>(-1);
+  size_t pull_chunk_bytes = kAutoChunkBytes;
 };
 
 class ObjectStore {
@@ -52,6 +56,9 @@ class ObjectStore {
   using PeerResolver = std::function<ObjectStore*(const NodeId&)>;
   // Pull completion callback; runs on the pull-loop thread — keep it cheap.
   using PullCallback = std::function<void(Status)>;
+
+  // Penalty bandwidth for reading an object back from the disk tier.
+  static constexpr double kDiskReadBytesPerSec = 500e6;
 
   // `liveness` (optional) is the failure detector's view; the store and its
   // pull manager use it to skip replicas on declared-dead nodes. Null means

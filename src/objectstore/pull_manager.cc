@@ -11,13 +11,14 @@ namespace ray {
 
 PullManager::PullManager(const NodeId& node, gcs::GcsTables* tables, SimNetwork* net,
                          ObjectStore* store, ThreadPool* copy_pool,
-                         const PullManagerConfig& config, gcs::LivenessView* liveness)
+                         const ObjectStoreConfig& config, gcs::LivenessView* liveness)
     : node_(node),
       tables_(tables),
       net_(net),
       store_(store),
       copy_pool_(copy_pool),
       config_(config),
+      num_streams_(std::max(1, config.num_transfer_threads)),
       liveness_(liveness) {
   loop_thread_ = std::thread([this] { Loop(); });
 }
@@ -268,7 +269,7 @@ void PullManager::KickChunk(const EntryPtr& e) {
   size_t chunk_bytes = e->chunk_bytes == 0 ? e->size : e->chunk_bytes;
   size_t off = e->chunk * chunk_bytes;
   size_t len = e->size > off ? std::min(chunk_bytes, e->size - off) : 0;
-  int streams = len >= config_.parallel_copy_threshold ? config_.num_transfer_streams : 1;
+  int streams = len >= config_.parallel_copy_threshold ? num_streams_ : 1;
   uint64_t epoch = epoch_gen_.fetch_add(1, std::memory_order_relaxed) + 1;
   e->current_epoch = epoch;
   e->chunk_sent_us = NowMicros();
@@ -340,7 +341,7 @@ void PullManager::HandleChunkDone(const EntryPtr& e, const Status& status) {
   size_t len = e->size > off ? std::min(chunk_bytes, e->size - off) : 0;
   ObserveChunkTiming(e, len, chunk_duration_us);
   if (len > 0) {
-    int threads = len >= config_.parallel_copy_threshold ? config_.num_transfer_streams : 1;
+    int threads = len >= config_.parallel_copy_threshold ? num_streams_ : 1;
     trace::Span span(trace::Stage::kChunkCopy, TaskId(), e->id, node_, e->src, len);
     ParallelCopy(e->assembly->MutableData() + off, e->src_buffer->Data() + off, len, threads,
                  *copy_pool_);
@@ -354,27 +355,35 @@ namespace {
 // Two chunk sizes must differ by at least this much before the two-point fit
 // below divides by their difference; smaller gaps amplify timing noise.
 constexpr size_t kMinProbeLenDeltaBytes = 64 * 1024;
+// Starting point (and fallback) for autotuning before any chunk has been
+// measured.
+constexpr size_t kInitialChunkBytes = 8ull << 20;
+// Autotuned chunk = kBdpFactor x bandwidth x latency, clamped to
+// [kMinChunkBytes, kMaxChunkBytes].
+constexpr double kBdpFactor = 8.0;
+constexpr size_t kMinChunkBytes = 256 * 1024;
+constexpr size_t kMaxChunkBytes = 64ull << 20;
 }  // namespace
 
 size_t PullManager::ResolveChunkBytes(uint64_t size) const {
-  if (config_.chunk_bytes != kAutoChunkBytes) {
-    return config_.chunk_bytes;  // fixed (0 = monolithic)
+  if (config_.pull_chunk_bytes != kAutoChunkBytes) {
+    return config_.pull_chunk_bytes;  // fixed (0 = monolithic)
   }
   if (!bandwidth_ema_.HasValue() || !chunk_latency_ema_.HasValue()) {
-    return config_.initial_chunk_bytes;  // nothing measured yet
+    return kInitialChunkBytes;  // nothing measured yet
   }
   // Bandwidth-delay product: the chunk must keep the wire busy long enough
-  // that per-chunk setup latency amortizes away. bdp_factor x BDP puts the
-  // serialization time at roughly bdp_factor latencies.
+  // that per-chunk setup latency amortizes away. kBdpFactor x BDP puts the
+  // serialization time at roughly kBdpFactor latencies.
   double bdp = bandwidth_ema_.Value() * (chunk_latency_ema_.Value() * 1e-6);
-  auto chunk = static_cast<size_t>(config_.bdp_factor * bdp);
-  return std::min(config_.max_chunk_bytes, std::max(config_.min_chunk_bytes, chunk));
+  auto chunk = static_cast<size_t>(kBdpFactor * bdp);
+  return std::min(kMaxChunkBytes, std::max(kMinChunkBytes, chunk));
 }
 
 size_t PullManager::CurrentChunkBytes() const { return ResolveChunkBytes(0); }
 
 void PullManager::ObserveChunkTiming(const EntryPtr& e, size_t len, int64_t duration_us) {
-  if (config_.chunk_bytes != kAutoChunkBytes || duration_us <= 0 || len == 0) {
+  if (config_.pull_chunk_bytes != kAutoChunkBytes || duration_us <= 0 || len == 0) {
     return;
   }
   // A single chunk size cannot separate latency from bandwidth. Each entry

@@ -42,34 +42,9 @@
 #include "gcs/monitor.h"
 #include "gcs/tables.h"
 #include "net/sim_network.h"
+#include "objectstore/object_store.h"
 
 namespace ray {
-
-class ObjectStore;
-
-// Sentinel for chunk_bytes: size chunks from the measured bandwidth-delay
-// product instead of a fixed constant.
-inline constexpr size_t kAutoChunkBytes = static_cast<size_t>(-1);
-
-struct PullManagerConfig {
-  // Chunk size for the pipelined pull path. kAutoChunkBytes (the default)
-  // derives it from measured per-chunk bandwidth and latency EMAs — the
-  // chunk is a multiple of the bandwidth-delay product, so transfer time
-  // dominates per-chunk setup latency without bloating failover restarts.
-  // 0 moves each object as a single monolithic chunk (the pre-refactor
-  // behavior, kept for the ablation); any other value is used verbatim.
-  size_t chunk_bytes = kAutoChunkBytes;
-  // Starting point (and fallback) for autotuning before any chunk has been
-  // measured; also the fixed size most callers used previously.
-  size_t initial_chunk_bytes = 8ull << 20;
-  // Autotuned chunk = bdp_factor x bandwidth x latency, clamped below.
-  double bdp_factor = 8.0;
-  size_t min_chunk_bytes = 256 * 1024;
-  size_t max_chunk_bytes = 64ull << 20;
-  // Streams used per chunk at or above parallel_copy_threshold.
-  int num_transfer_streams = 8;
-  size_t parallel_copy_threshold = 512 * 1024;
-};
 
 class PullManager {
  public:
@@ -79,11 +54,14 @@ class PullManager {
   // pull-loop thread — must not block for long; enqueue heavy work elsewhere.
   using Callback = std::function<void(Status)>;
 
-  // `liveness` is the detector-backed view used to filter pull sources; null
-  // (standalone stores in tests) means assume-alive — wire failures still
-  // drive failover, just without the proactive skip.
+  // `config` is the owning store's: the pull manager reads its chunk size
+  // (pull_chunk_bytes), its stream count (num_transfer_threads) and
+  // parallel_copy_threshold. `liveness` is the detector-backed view used to
+  // filter pull sources; null (standalone stores in tests) means
+  // assume-alive — wire failures still drive failover, just without the
+  // proactive skip.
   PullManager(const NodeId& node, gcs::GcsTables* tables, SimNetwork* net, ObjectStore* store,
-              ThreadPool* copy_pool, const PullManagerConfig& config,
+              ThreadPool* copy_pool, const ObjectStoreConfig& config,
               gcs::LivenessView* liveness = nullptr);
   ~PullManager();
 
@@ -192,7 +170,7 @@ class PullManager {
   void CompleteEntry(const EntryPtr& e, Status status);
   void DispatchWaiters(std::vector<Waiter> waiters, const Status& status);
   // Chunk size for an object of `size` starting now (fixed config value, or
-  // bdp_factor x measured bandwidth-delay product, clamped).
+  // kBdpFactor x measured bandwidth-delay product, clamped).
   size_t ResolveChunkBytes(uint64_t size) const;
   // Feeds the bandwidth/latency EMAs from one completed chunk transfer.
   void ObserveChunkTiming(const EntryPtr& e, size_t len, int64_t duration_us);
@@ -202,7 +180,9 @@ class PullManager {
   SimNetwork* net_;
   ObjectStore* store_;
   ThreadPool* copy_pool_;
-  PullManagerConfig config_;
+  ObjectStoreConfig config_;
+  // Streams used per chunk at or above parallel_copy_threshold.
+  int num_streams_;
   gcs::LivenessView* liveness_;  // may be null: assume-alive
 
   Mutex mu_{"PullManager.mu"};

@@ -61,11 +61,8 @@ Cluster::Cluster(const ClusterConfig& config) : config_(config) {
 
   // The monitor starts last: a node it has never observed gets a full
   // detection window of grace, so startup order cannot cause false deaths.
-  gcs::MonitorConfig mcfg = config_.monitor;
-  if (mcfg.heartbeat_interval_us <= 0) {
-    mcfg.heartbeat_interval_us = config_.scheduler.heartbeat_interval_us;
-  }
-  monitor_ = std::make_unique<gcs::GcsMonitor>(tables_.get(), mcfg);
+  monitor_ = std::make_unique<gcs::GcsMonitor>(
+      tables_.get(), config_.scheduler.heartbeat_interval_us, config_.monitor);
 }
 
 Cluster::~Cluster() {

@@ -33,8 +33,7 @@ struct ClusterConfig {
   gcs::GcsConfig gcs;
   NetConfig net;
   GlobalSchedulerConfig global;
-  // Failure detector. heartbeat_interval_us == 0 inherits
-  // scheduler.heartbeat_interval_us so detector and reporters never drift.
+  // Failure detector; it watches for scheduler.heartbeat_interval_us.
   gcs::MonitorConfig monitor;
   int num_global_schedulers = 1;
   uint64_t actor_checkpoint_interval = 0;

@@ -8,13 +8,13 @@
 namespace ray {
 
 DirectTaskTransport::DirectTaskTransport(const NodeId& node, LocalScheduler* scheduler,
-                                         ObjectStore* store, gcs::GcsTables* tables,
-                                         const DirectTransportConfig& config)
+                                         ObjectStore* store, gcs::GcsTables* tables)
     : node_(node),
       scheduler_(scheduler),
       store_(store),
-      config_(config),
-      lineage_(tables, config.lineage) {}
+      max_leases_per_shape_(
+          std::max<size_t>(1, static_cast<size_t>(scheduler->total_resources().Get("CPU")))),
+      lineage_(tables) {}
 
 DirectTaskTransport::~DirectTaskTransport() { Shutdown(); }
 
@@ -53,7 +53,7 @@ std::shared_ptr<WorkerLease> DirectTaskTransport::LeaseFor(const ResourceSet& sh
   // Grow while every cached lease is busy: pipelining gives depth on one
   // worker, extra leases give parallel workers.
   bool want_new = best == nullptr || (best->inflight.load(std::memory_order_relaxed) > 0 &&
-                                      pool_size < config_.max_leases_per_shape);
+                                      pool_size < max_leases_per_shape_);
   if (!want_new) {
     return best;
   }
@@ -72,7 +72,7 @@ std::shared_ptr<WorkerLease> DirectTaskTransport::LeaseFor(const ResourceSet& sh
 }
 
 bool DirectTaskTransport::TrySubmit(const TaskSpec& spec) {
-  if (!config_.enabled || shutdown_.load(std::memory_order_acquire)) {
+  if (!scheduler_->leasing_enabled() || shutdown_.load(std::memory_order_acquire)) {
     return false;
   }
   if (!spec.actor.IsNil()) {

@@ -9,10 +9,10 @@
 // is also how submission spills back to the global scheduler when this node
 // is saturated.
 //
-// Leases are cached per shape and renewed by use; the pool grows (up to
-// max_leases_per_shape) while every cached lease is busy, so pipelining
-// provides depth and extra leases provide parallel workers. The scheduler
-// revokes leases on idle timeout, under pressure from queued tasks, and on
+// Leases are cached per shape and renewed by use; the pool grows (up to the
+// node's CPU count) while every cached lease is busy, so pipelining provides
+// depth and extra leases provide parallel workers. The scheduler revokes
+// leases on idle timeout, under pressure from queued tasks, and on
 // shutdown/death; the transport lazily prunes revoked leases and re-requests.
 #ifndef RAY_RUNTIME_DIRECT_TRANSPORT_H_
 #define RAY_RUNTIME_DIRECT_TRANSPORT_H_
@@ -32,18 +32,11 @@
 
 namespace ray {
 
-struct DirectTransportConfig {
-  bool enabled = true;
-  // Leases cached per resource shape; grown while all are busy. Callers
-  // usually set this to the node's worker count.
-  size_t max_leases_per_shape = 4;
-  LineageBufferConfig lineage;
-};
-
 class DirectTaskTransport {
  public:
+  // The fast path is on when `scheduler` has leasing enabled.
   DirectTaskTransport(const NodeId& node, LocalScheduler* scheduler, ObjectStore* store,
-                      gcs::GcsTables* tables, const DirectTransportConfig& config);
+                      gcs::GcsTables* tables);
   ~DirectTaskTransport();
 
   DirectTaskTransport(const DirectTaskTransport&) = delete;
@@ -74,7 +67,9 @@ class DirectTaskTransport {
   NodeId node_;
   LocalScheduler* scheduler_;
   ObjectStore* store_;
-  DirectTransportConfig config_;
+  // Leases cached per resource shape: the node's CPU count, so one lease per
+  // worker keeps all CPUs reachable through the fast path.
+  size_t max_leases_per_shape_;
   LineageBuffer lineage_;
   std::atomic<bool> shutdown_{false};
 

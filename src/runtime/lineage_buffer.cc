@@ -4,8 +4,7 @@
 
 namespace ray {
 
-LineageBuffer::LineageBuffer(gcs::GcsTables* tables, const LineageBufferConfig& config)
-    : tables_(tables), config_(config) {}
+LineageBuffer::LineageBuffer(gcs::GcsTables* tables) : tables_(tables) {}
 
 LineageBuffer::~LineageBuffer() {
   // Every fired write's callback references this object; wait for all of
@@ -21,7 +20,7 @@ uint64_t LineageBuffer::Record(const TaskSpec& spec, const NodeId& node) {
   uint64_t seq;
   {
     MutexLock lock(mu_);
-    while (pending_.size() >= config_.max_inflight_records) {
+    while (pending_.size() >= kMaxInflightRecords) {
       cv_.Wait(mu_);  // backpressure: bounded unflushed window
     }
     seq = next_seq_++;
@@ -32,8 +31,7 @@ uint64_t LineageBuffer::Record(const TaskSpec& spec, const NodeId& node) {
     task_seq_[spec.id] = seq;
   }
   records_.fetch_add(1, std::memory_order_relaxed);
-  // Fire outside mu_: the async calls take the shard batcher locks, and with
-  // batching disabled they complete (and call OnOpDone) inline.
+  // Fire outside mu_: the async calls take the shard batcher locks.
   auto done = [this, seq](Status s) { OnOpDone(seq, std::move(s)); };
   tables_->tasks.AddTaskAsync(spec.id, spec_bytes, done);
   tables_->tasks.SetStateAsync(spec.id, gcs::TaskState::kPending, node, done);
@@ -115,16 +113,6 @@ void LineageBuffer::Flush() {
   while (watermark_ < last) {
     cv_.Wait(mu_);
   }
-}
-
-uint64_t LineageBuffer::LastRecorded() const {
-  MutexLock lock(mu_);
-  return next_seq_ - 1;
-}
-
-uint64_t LineageBuffer::DurableWatermark() const {
-  MutexLock lock(mu_);
-  return watermark_;
 }
 
 }  // namespace ray

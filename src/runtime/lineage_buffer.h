@@ -14,8 +14,8 @@
 // commits. A submitter node that dies with flushes in flight therefore loses
 // only tasks whose outputs nobody can observe yet.
 //
-// Backpressure: Record blocks when more than max_inflight_records records
-// are unflushed, bounding the window of lineage a crash can lose and the
+// Backpressure: Record blocks when kMaxInflightRecords records are
+// unflushed, bounding the window of lineage a crash can lose and the
 // buffer's memory.
 #ifndef RAY_RUNTIME_LINEAGE_BUFFER_H_
 #define RAY_RUNTIME_LINEAGE_BUFFER_H_
@@ -34,14 +34,12 @@
 
 namespace ray {
 
-struct LineageBufferConfig {
-  // Max records (tasks) with writes still in flight before Record blocks.
-  size_t max_inflight_records = 4096;
-};
-
 class LineageBuffer {
  public:
-  LineageBuffer(gcs::GcsTables* tables, const LineageBufferConfig& config = {});
+  // Max records (tasks) with writes still in flight before Record blocks.
+  static constexpr size_t kMaxInflightRecords = 4096;
+
+  explicit LineageBuffer(gcs::GcsTables* tables);
   // Blocks until every fired write has completed — the GCS batchers hold
   // callbacks into this object, so it must outlive them or drain first.
   ~LineageBuffer();
@@ -70,9 +68,6 @@ class LineageBuffer {
   // Blocks until everything recorded so far is durable.
   void Flush();
 
-  uint64_t LastRecorded() const;
-  // Highest seq such that all records <= it are durable.
-  uint64_t DurableWatermark() const;
   uint64_t NumRecords() const { return records_.load(std::memory_order_relaxed); }
   uint64_t NumFailedWrites() const { return failed_.load(std::memory_order_relaxed); }
 
@@ -87,7 +82,6 @@ class LineageBuffer {
   void OnOpDone(uint64_t seq, Status status);
 
   gcs::GcsTables* tables_;
-  LineageBufferConfig config_;
 
   mutable Mutex mu_{"LineageBuffer.mu"};
   CondVar cv_;

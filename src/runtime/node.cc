@@ -50,13 +50,8 @@ Node::Node(const RuntimeContext* rt, const LocalSchedulerConfig& scheduler_confi
   store_ = std::make_unique<ObjectStore>(id_, rt_->tables, rt_->net, store_config, rt_->liveness);
   scheduler_ = std::make_unique<LocalScheduler>(id_, rt_->tables, rt_->net, store_.get(),
                                                 rt_->global, scheduler_config, rt_->liveness);
-  DirectTransportConfig transport_config;
-  transport_config.enabled = scheduler_config.enable_leasing;
-  // One lease per worker keeps all CPUs reachable through the fast path.
-  size_t cpus = static_cast<size_t>(scheduler_config.total_resources.Get("CPU"));
-  transport_config.max_leases_per_shape = cpus > 0 ? cpus : 1;
-  transport_ = std::make_unique<DirectTaskTransport>(id_, scheduler_.get(), store_.get(),
-                                                     rt_->tables, transport_config);
+  transport_ =
+      std::make_unique<DirectTaskTransport>(id_, scheduler_.get(), store_.get(), rt_->tables);
 }
 
 Node::~Node() {

@@ -10,6 +10,20 @@
 
 namespace ray {
 
+namespace {
+// Floor for per-task duration estimates before any data is observed.
+constexpr double kDefaultTaskDurationS = 0.005;
+// Transient failures (chaos drops, a target dying between placement and
+// forward, the brief no-candidate window while nodes churn) are retried
+// with exponential backoff: 1ms doubling to 20ms, kScheduleAttempts tries
+// total (~131ms — longer than the default failure-detection window, so a
+// placement that failed because of a fresh death retries after the monitor
+// has removed the corpse from the candidate set).
+constexpr int kScheduleAttempts = 10;
+constexpr int64_t kScheduleBackoffUs = 1'000;
+constexpr int64_t kScheduleBackoffCapUs = 20'000;
+}  // namespace
+
 ResourceSet EffectiveDemand(const TaskSpec& spec) {
   if (spec.IsActorTask()) {
     return ResourceSet{};
@@ -32,7 +46,7 @@ GlobalScheduler::GlobalScheduler(gcs::GcsTables* tables, SimNetwork* net,
 
 double GlobalScheduler::EstimateWait(const gcs::Heartbeat& hb, const TaskSpec& spec,
                                      const NodeId& node) const {
-  double task_dur = hb.avg_task_duration_s > 0 ? hb.avg_task_duration_s : config_.default_task_duration_s;
+  double task_dur = hb.avg_task_duration_s > 0 ? hb.avg_task_duration_s : kDefaultTaskDurationS;
   double wait = static_cast<double>(hb.queue_length) * task_dur;
   if (config_.locality_aware) {
     // Transfer time for inputs that are not already on `node` (Fig. 8a).
@@ -170,12 +184,11 @@ Status GlobalScheduler::Schedule(const TaskSpec& spec, const NodeId& from) {
   // window outlasts the default failure-detection bound so a post-crash
   // retry sees the corpse removed from the candidate set.
   Status s;
-  int64_t backoff = std::max<int64_t>(1, config_.schedule_backoff_us);
-  int attempts = std::max(1, config_.schedule_attempts);
-  for (int attempt = 0; attempt < attempts; ++attempt) {
+  int64_t backoff = kScheduleBackoffUs;
+  for (int attempt = 0; attempt < kScheduleAttempts; ++attempt) {
     if (attempt > 0) {
       SleepMicros(backoff);
-      backoff = std::min(backoff * 2, config_.schedule_backoff_cap_us);
+      backoff = std::min(backoff * 2, kScheduleBackoffCapUs);
     }
     s = ScheduleOnce(spec, from);
     if (s.ok()) {

@@ -27,18 +27,8 @@ namespace ray {
 struct GlobalSchedulerConfig {
   // When false, placement ignores input locality (Fig. 8a "unaware" line).
   bool locality_aware = true;
-  // Floor for per-task duration estimates before any data is observed.
-  double default_task_duration_s = 0.005;
+  // Bandwidth estimate before a node has reported one.
   double default_bandwidth_bytes_s = 1e9;
-  // Transient failures (chaos drops, a target dying between placement and
-  // forward, the brief no-candidate window while nodes churn) are retried
-  // with exponential backoff: 1ms doubling to 20ms, `schedule_attempts`
-  // tries total (~131ms — longer than the default failure-detection window,
-  // so a placement that failed because of a fresh death retries after the
-  // monitor has removed the corpse from the candidate set).
-  int schedule_attempts = 10;
-  int64_t schedule_backoff_us = 1'000;
-  int64_t schedule_backoff_cap_us = 20'000;
 };
 
 class GlobalScheduler {

@@ -10,6 +10,19 @@ namespace ray {
 
 namespace {
 
+// A ready task whose demand exceeds this node's *available* resources is
+// re-forwarded to the global scheduler once it has sat ready this long.
+// Availability can shrink permanently (actors hold resources until node
+// death), so a task placed here against stale heartbeats may otherwise never
+// run even while other tasks keep the node busy.
+constexpr int64_t kStrandedRescueUs = 200'000;
+// Damping for pressure-driven revocation of BUSY leases: when ready tasks
+// are starved and no idle lease exists, a busy lease is revoked only after
+// scheduler pressure has persisted this long. A transient ready-queue blip
+// (e.g. a burst that the next dispatch round absorbs) must not tear down a
+// hot pipelined lease, which would thrash grant/revoke under load.
+constexpr int64_t kLeasePressureDwellUs = 60'000;
+
 // Locks `mu`, recording the wait in `wait_ema` (microseconds) only when the
 // lock was contended — uncontended acquisitions stay on the fast path.
 class SCOPED_CAPABILITY TimedMutexLock {
@@ -850,7 +863,7 @@ void LocalScheduler::RescueStrandedTasks() {
                                                          std::memory_order_relaxed);
         since = lease_pressure_since_us_.load(std::memory_order_relaxed);
       }
-      if (since != 0 && now - since >= config_.lease_pressure_dwell_us) {
+      if (since != 0 && now - since >= kLeasePressureDwellUs) {
         lease_pressure_since_us_.store(0, std::memory_order_relaxed);
         for (auto& lease : busy) {
           leases_revoked_busy_.fetch_add(1, std::memory_order_relaxed);
@@ -867,7 +880,7 @@ void LocalScheduler::RescueStrandedTasks() {
   // more than this node can ever free — actor creations hold resources until
   // node death, so availability shrinks permanently. Re-forward a ready task
   // whose demand exceeds current availability once it has waited out
-  // stranded_rescue_us (immediately when nothing is running: with running_
+  // kStrandedRescueUs (immediately when nothing is running: with running_
   // == 0 no release is coming at all).
   std::vector<TaskSpec> stranded;
   {
@@ -875,7 +888,7 @@ void LocalScheduler::RescueStrandedTasks() {
     bool idle = running_.load(std::memory_order_relaxed) == 0;
     int64_t now = NowMicros();
     for (auto it = ready_.begin(); it != ready_.end();) {
-      bool overdue = idle || now - it->ready_at_us >= config_.stranded_rescue_us;
+      bool overdue = idle || now - it->ready_at_us >= kStrandedRescueUs;
       if (overdue && !it->spec.IsActorTask() &&
           !available_.Contains(EffectiveDemand(it->spec))) {
         stranded.push_back(std::move(it->spec));

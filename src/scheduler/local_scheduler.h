@@ -71,12 +71,6 @@ struct LocalSchedulerConfig {
   // node's heartbeat cadence stretches or shifts relative to the GCS
   // monitor's clock. 0 = the base clock (no skew possible).
   uint32_t clock_domain = 0;
-  // A ready task whose demand exceeds this node's *available* resources is
-  // re-forwarded to the global scheduler once it has sat ready this long.
-  // Availability can shrink permanently (actors hold resources until node
-  // death), so a task placed here against stale heartbeats may otherwise
-  // never run even while other tasks keep the node busy.
-  int64_t stranded_rescue_us = 200'000;
 
   // --- direct task transport (worker leasing) ---
   // Allow callers to lease workers and pipeline tasks past the per-task
@@ -90,12 +84,6 @@ struct LocalSchedulerConfig {
   // A lease with no submissions for this long is revoked by the heartbeat
   // reaper (the idle-timeout return); submitting renews it.
   int64_t lease_idle_timeout_us = 100'000;
-  // Damping for pressure-driven revocation of BUSY leases: when ready tasks
-  // are starved and no idle lease exists, a busy lease is revoked only after
-  // scheduler pressure has persisted this long. A transient ready-queue blip
-  // (e.g. a burst that the next dispatch round absorbs) must not tear down a
-  // hot pipelined lease, which would thrash grant/revoke under load.
-  int64_t lease_pressure_dwell_us = 60'000;
 };
 
 // A leased worker slot: `shape` is carved out of the node's available
@@ -198,6 +186,7 @@ class LocalScheduler {
   gcs::Heartbeat MakeHeartbeat() const;
   const NodeId& node() const { return node_; }
   const ResourceSet& total_resources() const { return config_.total_resources; }
+  bool leasing_enabled() const { return config_.enable_leasing; }
   uint64_t NumTasksExecuted() const { return tasks_executed_.load(std::memory_order_relaxed); }
   uint64_t NumSpilledToGlobal() const { return spilled_.load(std::memory_order_relaxed); }
 

@@ -9,6 +9,19 @@
 namespace ray {
 namespace serve {
 
+namespace {
+// Capacity planning point: the utilization each replica is sized for.
+constexpr double kTargetUtilization = 0.7;
+// Scale down only with p99 under this share of the SLO...
+constexpr double kScaleDownP99Fraction = 0.5;
+// ...and utilization under this.
+constexpr double kScaleDownUtilization = 0.4;
+// Ignore metrics blobs older than this.
+constexpr int64_t kMetricsStaleUs = 1'000'000;
+// Don't trust a p99 of 3 requests.
+constexpr uint64_t kMinWindowSamples = 20;
+}  // namespace
+
 Autoscaler::Autoscaler(Router* router, const AutoscalerConfig& config)
     : router_(router), config_(config) {
   thread_ = std::thread([this] { Loop(); });
@@ -62,26 +75,25 @@ void Autoscaler::Evaluate(int64_t now) {
         scale_ups_.Add();
       }
       last_up_us_ = now;
-      last_target_.store(config_.min_replicas, std::memory_order_relaxed);
     }
     return;
   }
-  auto blob = router_->cluster().tables().serve.GetMetrics(router_->config().group);
+  auto blob = router_->cluster().tables().serve.GetMetrics(kReplicaGroup);
   if (!blob.ok()) {
     return;  // router has not published yet
   }
   ServeMetrics m = ServeMetrics::Deserialize(*blob);
-  if (now - m.published_us > config_.metrics_stale_us) {
+  if (now - m.published_us > kMetricsStaleUs) {
     return;
   }
   double service_s = std::max(1.0, m.service_ema_us) / 1e6;
   // Demand the group should absorb: what it served plus what it shed.
   double demand_qps = m.window_qps + m.window_shed_per_s;
   int capacity_target = static_cast<int>(
-      std::ceil(demand_qps * service_s / std::max(0.05, config_.target_utilization)));
+      std::ceil(demand_qps * service_s / kTargetUtilization));
   int target = std::clamp(capacity_target, config_.min_replicas, config_.max_replicas);
 
-  bool trustworthy_p99 = m.window_completed >= config_.min_window_samples;
+  bool trustworthy_p99 = m.window_completed >= kMinWindowSamples;
   bool slo_breached = trustworthy_p99 && m.window_p99_us > static_cast<double>(config_.slo_us);
   bool shedding = m.window_shed_per_s > 0.5;
   if (slo_breached || shedding) {
@@ -90,7 +102,6 @@ void Autoscaler::Evaluate(int64_t now) {
     target = std::clamp(std::max(target, healthy + 1), config_.min_replicas,
                         config_.max_replicas);
   }
-  last_target_.store(target, std::memory_order_relaxed);
 
   if (target > total) {
     if (now - last_up_us_ < config_.up_cooldown_us) {
@@ -109,9 +120,9 @@ void Autoscaler::Evaluate(int64_t now) {
     double util = demand_qps * service_s / std::max(1, healthy);
     bool comfortable = trustworthy_p99
                            ? m.window_p99_us <
-                                 config_.scale_down_p99_fraction * static_cast<double>(config_.slo_us)
+                                 kScaleDownP99Fraction * static_cast<double>(config_.slo_us)
                            : m.window_qps < 1.0;  // idle group: no samples is comfort enough
-    if (comfortable && util < config_.scale_down_utilization &&
+    if (comfortable && util < kScaleDownUtilization &&
         now - last_down_us_ >= config_.down_cooldown_us &&
         now - last_up_us_ >= config_.down_cooldown_us) {
       router_->RemoveReplica();

@@ -6,7 +6,7 @@
 //
 // Policy, evaluated each tick against the published window:
 //   * Capacity target: replicas needed to serve the observed demand
-//     (completed + shed rate) at target_utilization of a replica's serial
+//     (completed + shed rate) at 70% utilization of a replica's serial
 //     service rate (1 / service_ema).
 //   * SLO pressure: windowed p99 above the SLO, or any shedding, forces the
 //     target at least one above the current healthy count — latency is the
@@ -18,7 +18,6 @@
 #ifndef RAY_SERVE_AUTOSCALER_H_
 #define RAY_SERVE_AUTOSCALER_H_
 
-#include <atomic>
 #include <cstdint>
 #include <string>
 #include <thread>
@@ -35,13 +34,8 @@ struct AutoscalerConfig {
   int64_t tick_us = 100'000;
   int min_replicas = 1;
   int max_replicas = 16;
-  double target_utilization = 0.7;   // capacity planning point
-  double scale_down_p99_fraction = 0.5;  // p99 must be under this x slo
-  double scale_down_utilization = 0.4;   // and utilization under this
   int64_t up_cooldown_us = 300'000;
   int64_t down_cooldown_us = 2'000'000;
-  int64_t metrics_stale_us = 1'000'000;  // ignore blobs older than this
-  uint64_t min_window_samples = 20;      // don't trust a p99 of 3 requests
 };
 
 class Autoscaler {
@@ -56,7 +50,6 @@ class Autoscaler {
 
   uint64_t NumScaleUps() const { return scale_ups_.Value(); }
   uint64_t NumScaleDowns() const { return scale_downs_.Value(); }
-  int LastTarget() const { return last_target_.load(std::memory_order_relaxed); }
 
  private:
   void Loop();
@@ -67,7 +60,6 @@ class Autoscaler {
 
   Counter scale_ups_;
   Counter scale_downs_;
-  std::atomic<int> last_target_{0};
   int64_t last_up_us_ = 0;    // loop-thread only
   int64_t last_down_us_ = 0;  // loop-thread only
 

@@ -14,6 +14,14 @@
 namespace ray {
 namespace serve {
 
+namespace {
+// Simulated user-session id space.
+constexpr uint64_t kNumSessions = 1'000'000;
+// After the offered window, wait this long for in-flight requests to finish
+// before reporting.
+constexpr int64_t kDrainTimeoutUs = 5'000'000;
+}  // namespace
+
 LoadGenReport RunOpenLoopLoad(Router& router, const LoadGenConfig& config) {
   RAY_CHECK(config.threads > 0 && config.qps > 0);
   const uint64_t admitted_before = router.NumAdmitted();
@@ -24,7 +32,7 @@ LoadGenReport RunOpenLoopLoad(Router& router, const LoadGenConfig& config) {
 
   // Session bitmap: one bit per simulated user session, shared across
   // generator threads (relaxed OR; exact distinct count at the end).
-  std::vector<std::atomic<uint64_t>> session_bits((config.num_sessions + 63) / 64);
+  std::vector<std::atomic<uint64_t>> session_bits((kNumSessions + 63) / 64);
 
   std::atomic<uint64_t> offered{0};
   Histogram shed_latency_us;    // Submit() duration when it fast-rejects
@@ -56,7 +64,7 @@ LoadGenReport RunOpenLoopLoad(Router& router, const LoadGenConfig& config) {
         }
         behind_us.Observe(static_cast<double>(std::max<int64_t>(0, now - scheduled)));
         uint64_t session = static_cast<uint64_t>(
-            rng.UniformInt(0, static_cast<int64_t>(config.num_sessions) - 1));
+            rng.UniformInt(0, static_cast<int64_t>(kNumSessions) - 1));
         session_bits[session / 64].fetch_or(1ULL << (session % 64), std::memory_order_relaxed);
         uint64_t id = (static_cast<uint64_t>(t) << 48) | ++seq;
         offered.fetch_add(1, std::memory_order_relaxed);
@@ -73,7 +81,7 @@ LoadGenReport RunOpenLoopLoad(Router& router, const LoadGenConfig& config) {
 
   // Drain: open-loop offering has stopped; give in-flight requests time to
   // finish so the report covers them.
-  int64_t drain_deadline = NowMicros() + config.drain_timeout_us;
+  int64_t drain_deadline = NowMicros() + kDrainTimeoutUs;
   while (router.NumOutstanding() > 0 && NowMicros() < drain_deadline) {
     SleepMicros(5000);
   }

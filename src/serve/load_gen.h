@@ -25,10 +25,6 @@ struct LoadGenConfig {
   int64_t duration_us = 2'000'000;
   int threads = 2;
   uint64_t seed = 1;
-  uint64_t num_sessions = 1'000'000;  // simulated user-session id space
-  // After the offered window, wait this long for in-flight requests to
-  // finish before reporting.
-  int64_t drain_timeout_us = 5'000'000;
 };
 
 struct LoadGenReport {

@@ -10,14 +10,33 @@
 namespace ray {
 namespace serve {
 
+namespace {
+// Admission sheds a request when its estimated wait exceeds this share of
+// the SLO.
+constexpr double kAdmissionSloFraction = 0.7;
+// Hard admission backstop on outstanding requests.
+constexpr int64_t kMaxOutstanding = 4096;
+// Pipeline depth per replica mailbox.
+constexpr int kMaxInflightPerReplica = 2;
+// Dispatch attempts before a request is given up.
+constexpr int kMaxAttempts = 4;
+// Sliding window for p50/p99.
+constexpr int64_t kStatsWindowUs = 1'000'000;
+// Serve Table metrics cadence.
+constexpr int64_t kMetricsPublishUs = 100'000;
+// Uniform jitter on each replica's service time, in percent.
+constexpr int64_t kReplicaJitterPct = 20;
+constexpr size_t kDispatchThreads = 4;
+}  // namespace
+
 Router::Router(Ray ray, const RouterConfig& config)
     : ray_(ray),
       config_(config),
       admission_budget_us_(
-          static_cast<int64_t>(config.admission_slo_fraction * static_cast<double>(config.slo_us))),
+          static_cast<int64_t>(kAdmissionSloFraction * static_cast<double>(config.slo_us))),
       service_ema_us_(config.replica_service_us),
-      latency_(config.stats_window_us) {
-  dispatch_pool_ = std::make_unique<ThreadPool>(static_cast<size_t>(config_.dispatch_threads));
+      latency_(kStatsWindowUs) {
+  dispatch_pool_ = std::make_unique<ThreadPool>(kDispatchThreads);
   // Node deaths reach the loop through the Node Table's membership channel —
   // the same death notifications the rest of the runtime keys failover on.
   membership_token_ =
@@ -84,7 +103,7 @@ void Router::Stop() {
   auto& serve_table = ray_.cluster().tables().serve;
   for (Replica& r : replicas_) {
     if (r.state == ReplicaState::kHealthy || r.state == ReplicaState::kStarting) {
-      serve_table.RemoveReplica(config_.group, r.actor);
+      serve_table.RemoveReplica(kReplicaGroup, r.actor);
     }
   }
 }
@@ -96,7 +115,7 @@ bool Router::Submit(uint64_t request_id, int64_t scheduled_us) {
   }
   int healthy = healthy_count_.load(std::memory_order_relaxed);
   int64_t out = outstanding_.load(std::memory_order_relaxed);
-  bool admit = healthy > 0 && out < config_.max_outstanding;
+  bool admit = healthy > 0 && out < kMaxOutstanding;
   if (admit) {
     // Estimated time to drain the backlog plus serve this request, assuming
     // each healthy replica serves serially at the observed service EMA.
@@ -201,7 +220,7 @@ void Router::HandleRequest(const Event& ev) {
 
 size_t Router::PickReplica() const {
   size_t best = SIZE_MAX;
-  int best_inflight = config_.max_inflight_per_replica;
+  int best_inflight = kMaxInflightPerReplica;
   for (size_t i = 0; i < replicas_.size(); ++i) {
     const Replica& r = replicas_[i];
     if (r.state == ReplicaState::kHealthy && r.inflight < best_inflight) {
@@ -373,7 +392,7 @@ void Router::DropRequest(uint64_t id) {
 
 void Router::RedispatchOrDrop(uint64_t id, Request& req) {
   DetachAttempt(req);
-  if (req.attempts >= config_.max_attempts) {
+  if (req.attempts >= kMaxAttempts) {
     timed_out_.Add();
     DropRequest(id);
     return;
@@ -389,7 +408,7 @@ void Router::HandleNodeDown(const NodeId& node) {
         (r.state == ReplicaState::kHealthy || r.state == ReplicaState::kStarting ||
          r.state == ReplicaState::kDraining)) {
       SetReplicaState(r, ReplicaState::kDead);
-      ray_.cluster().tables().serve.RemoveReplica(config_.group, r.actor);
+      ray_.cluster().tables().serve.RemoveReplica(kReplicaGroup, r.actor);
       lost_any = true;
     }
   }
@@ -439,7 +458,7 @@ void Router::HandleAddReplica() {
   }
   // Spread-placed creation: the global scheduler lands it on the node with
   // the fewest current group members (and records it in the Serve Table).
-  ActorHandle handle = ray_.CreateActorSpread("ServeReplica", config_.group);
+  ActorHandle handle = ray_.CreateActorSpread("ServeReplica", kReplicaGroup);
   Replica r;
   r.handle = handle;
   r.actor = handle.id();
@@ -450,7 +469,7 @@ void Router::HandleAddReplica() {
   bool submitted = dispatch_pool_->Submit([this, handle, seed]() mutable {
     // Init is a chain method; Get blocks until it has actually run, so the
     // kReplicaReady below means "routable", not just "created".
-    auto ref = handle.Call<int>("Init", config_.replica_service_us, config_.replica_jitter_pct,
+    auto ref = handle.Call<int>("Init", config_.replica_service_us, kReplicaJitterPct,
                                 seed);
     auto init = ray_.Get(ref, 30'000'000);
     if (!init.ok()) {
@@ -476,7 +495,7 @@ void Router::HandleRemoveReplica() {
     Replica& r = replicas_[i];
     if (r.state == ReplicaState::kHealthy) {
       SetReplicaState(r, ReplicaState::kDraining);
-      ray_.cluster().tables().serve.RemoveReplica(config_.group, r.actor);
+      ray_.cluster().tables().serve.RemoveReplica(kReplicaGroup, r.actor);
       FinishDrainIfIdle(r);
       return;
     }
@@ -528,11 +547,11 @@ void Router::HandleTick() {
         ray_.cluster().FindNode(*loc) != nullptr) {
       r.node = *loc;
       SetReplicaState(r, ReplicaState::kHealthy);
-      ray_.cluster().tables().serve.AddReplica(config_.group, r.actor, *loc);
+      ray_.cluster().tables().serve.AddReplica(kReplicaGroup, r.actor, *loc);
     }
   }
   DrainQueue();
-  if (now - last_publish_us_ >= config_.metrics_publish_us) {
+  if (now - last_publish_us_ >= kMetricsPublishUs) {
     PublishMetrics(now);
   }
 }
@@ -557,7 +576,7 @@ void Router::PublishMetrics(int64_t now) {
   m.inflight = outstanding_.load(std::memory_order_relaxed) - static_cast<int64_t>(queued_.size());
   m.queued = static_cast<int64_t>(queued_.size());
   m.healthy_replicas = healthy_count_.load(std::memory_order_relaxed);
-  ray_.cluster().tables().serve.PublishMetrics(config_.group, m.Serialize());
+  ray_.cluster().tables().serve.PublishMetrics(kReplicaGroup, m.Serialize());
   last_publish_us_ = now;
 }
 

@@ -10,7 +10,7 @@
 //
 //   * Admission (Submit): O(1) over three atomics — estimated drain time =
 //     (outstanding / healthy_replicas + 1) * service_ema. Requests whose
-//     estimate exceeds admission_slo_fraction * slo_us are fast-rejected
+//     estimate exceeds 0.7 * slo_us are fast-rejected
 //     without ever touching the loop, so a saturated router sheds load at
 //     atomic-read cost instead of hanging callers.
 //   * Dispatch (small thread pool): ActorHandle::Call blocks on a scheduler
@@ -34,7 +34,6 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
-#include <string>
 #include <thread>
 #include <unordered_map>
 #include <vector>
@@ -48,20 +47,14 @@
 namespace ray {
 namespace serve {
 
+// The replica group: spread-placement key and Serve Table key.
+inline constexpr char kReplicaGroup[] = "serve";
+
 struct RouterConfig {
-  std::string group = "serve";        // replica group (spread + membership key)
   int64_t slo_us = 200'000;           // target p99 the admission bound protects
-  double admission_slo_fraction = 0.7;  // shed when est. wait exceeds this x slo
-  int max_inflight_per_replica = 2;   // pipeline depth per replica mailbox
   int64_t request_timeout_us = 500'000;  // in flight this long -> re-dispatch
-  int max_attempts = 4;               // dispatch attempts before giving up
   int64_t tick_us = 20'000;           // timeout scan / re-adoption cadence
-  int64_t stats_window_us = 1'000'000;   // sliding window for p50/p99
-  int64_t metrics_publish_us = 100'000;  // Serve Table metrics cadence
   int64_t replica_service_us = 2'000;    // ServeReplica::Init service time
-  int64_t replica_jitter_pct = 20;
-  int dispatch_threads = 4;
-  int64_t max_outstanding = 4096;     // hard admission backstop
 };
 
 class Router {
@@ -89,7 +82,6 @@ class Router {
   void RemoveReplica();
 
   // --- observability ---
-  const RouterConfig& config() const { return config_; }
   // The cluster this router serves on (autoscaler reads the Serve Table
   // metrics blob through it — metrics flow through the GCS, not in-memory).
   Cluster& cluster() { return ray_.cluster(); }
@@ -102,9 +94,6 @@ class Router {
   int64_t NumOutstanding() const { return outstanding_.load(std::memory_order_relaxed); }
   int NumHealthyReplicas() const { return healthy_count_.load(std::memory_order_relaxed); }
   int NumReplicas() const { return replica_count_.load(std::memory_order_relaxed); }
-  double ServiceEmaMicros() const {
-    return static_cast<double>(service_ema_us_.load(std::memory_order_relaxed));
-  }
 
  private:
   struct Event {

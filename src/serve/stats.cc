@@ -65,11 +65,6 @@ double LatencyWindow::TotalPercentile(double p) const {
   return PercentileOf(copy, p);
 }
 
-uint64_t LatencyWindow::TotalCount() const {
-  MutexLock lock(mu_);
-  return total_count_;
-}
-
 std::string ServeMetrics::Serialize() const {
   Writer w;
   w.WritePod<int64_t>(published_us);

@@ -37,7 +37,6 @@ class LatencyWindow {
   // Percentile over every sample ever observed (bounded reservoir of the
   // most recent 1M samples). p in [0, 100].
   double TotalPercentile(double p) const;
-  uint64_t TotalCount() const;
 
  private:
   struct Sample {

@@ -55,11 +55,6 @@ size_t TaskGraph::NumEdges(EdgeType type) const {
   return 0;
 }
 
-bool TaskGraph::HasTask(const TaskId& id) const {
-  MutexLock lock(mu_);
-  return tasks_.count(id) > 0;
-}
-
 std::vector<TaskId> TaskGraph::Children(const TaskId& id) const {
   MutexLock lock(mu_);
   auto it = tasks_.find(id);

@@ -40,7 +40,6 @@ class TaskGraph {
   size_t NumTasks() const;
   size_t NumEdges(EdgeType type) const;
 
-  bool HasTask(const TaskId& id) const;
   std::vector<TaskId> Children(const TaskId& id) const;  // control-edge successors
 
   // The task that produces `object`, if known.

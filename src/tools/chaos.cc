@@ -9,6 +9,19 @@
 namespace ray {
 namespace tools {
 
+namespace {
+constexpr int64_t kTickIntervalUs = 20'000;  // one fault-injection decision per tick
+// Per-tick probabilities of starting each fault kind.
+constexpr double kKillProbability = 0.10;
+constexpr double kPartitionProbability = 0.15;
+constexpr double kThrottleProbability = 0.10;
+constexpr int64_t kRejoinDelayUs = 80'000;        // fresh node joins this long after a kill
+constexpr int64_t kPartitionDurationUs = 40'000;  // heal deadline for a partition
+constexpr int64_t kThrottleDurationUs = 40'000;   // heal deadline for a throttle
+constexpr double kThrottleScale = 0.25;           // effective-bandwidth multiplier
+constexpr size_t kMaxConcurrentPartitions = 2;
+}  // namespace
+
 ChaosSchedule::ChaosSchedule(Cluster* cluster, const ChaosConfig& config)
     : cluster_(cluster), config_(config), rng_(config.seed) {}
 
@@ -90,7 +103,7 @@ std::vector<NodeId> ChaosSchedule::KillableNodes() {
 void ChaosSchedule::Loop() {
   MutexLock lock(stop_mu_);
   while (!stop_) {
-    stop_cv_.WaitFor(stop_mu_, std::chrono::microseconds(config_.tick_interval_us));
+    stop_cv_.WaitFor(stop_mu_, std::chrono::microseconds(kTickIntervalUs));
     if (stop_) {
       return;
     }
@@ -139,21 +152,21 @@ void ChaosSchedule::Tick() {
 
   // Kill: crash-stop a random unprotected node, keeping the population above
   // the floor (counting the rejoin already queued for it).
-  if (rng_.Uniform() < config_.kill_probability) {
+  if (rng_.Uniform() < kKillProbability) {
     std::vector<NodeId> killable = KillableNodes();
     if (AliveNodes().size() > config_.min_alive_nodes && !killable.empty()) {
       NodeId victim = killable[rng_.UniformInt(0, static_cast<int64_t>(killable.size()) - 1)];
       RAY_LOG(INFO) << "chaos: killing node " << ToShortString(victim);
       cluster_->KillNode(victim);
-      rejoins_due_us_.push_back(now + config_.rejoin_delay_us);
+      rejoins_due_us_.push_back(now + kRejoinDelayUs);
       MutexLock slock(mu_);
       ++stats_.kills;
     }
   }
 
   // Partition: cut a random unprotected pair both ways, heal on a deadline.
-  if (partition_heals_.size() < config_.max_concurrent_partitions &&
-      rng_.Uniform() < config_.partition_probability) {
+  if (partition_heals_.size() < kMaxConcurrentPartitions &&
+      rng_.Uniform() < kPartitionProbability) {
     std::vector<NodeId> pool = KillableNodes();
     if (pool.size() >= 2) {
       size_t a = static_cast<size_t>(rng_.UniformInt(0, static_cast<int64_t>(pool.size()) - 1));
@@ -162,7 +175,7 @@ void ChaosSchedule::Tick() {
         ++b;
       }
       net.SetPartitioned(pool[a], pool[b], true);
-      partition_heals_.emplace_back(now + config_.partition_duration_us,
+      partition_heals_.emplace_back(now + kPartitionDurationUs,
                                     std::make_pair(pool[a], pool[b]));
       MutexLock slock(mu_);
       ++stats_.partitions;
@@ -170,12 +183,12 @@ void ChaosSchedule::Tick() {
   }
 
   // Throttle: slow one unprotected node's NIC for a while.
-  if (rng_.Uniform() < config_.throttle_probability) {
+  if (rng_.Uniform() < kThrottleProbability) {
     std::vector<NodeId> pool = KillableNodes();
     if (!pool.empty()) {
       NodeId slow = pool[rng_.UniformInt(0, static_cast<int64_t>(pool.size()) - 1)];
-      net.SetNodeBandwidthScale(slow, config_.throttle_scale);
-      throttle_heals_.emplace_back(now + config_.throttle_duration_us, slow);
+      net.SetNodeBandwidthScale(slow, kThrottleScale);
+      throttle_heals_.emplace_back(now + kThrottleDurationUs, slow);
       MutexLock slock(mu_);
       ++stats_.throttles;
     }

@@ -28,17 +28,7 @@ namespace tools {
 
 struct ChaosConfig {
   uint64_t seed = 0xC4A05;
-  int64_t tick_interval_us = 20'000;  // one fault-injection decision per tick
-  // Per-tick probabilities of starting each fault kind.
-  double kill_probability = 0.10;
-  double partition_probability = 0.15;
-  double throttle_probability = 0.10;
-  int64_t rejoin_delay_us = 80'000;        // fresh node joins this long after a kill
-  int64_t partition_duration_us = 40'000;  // heal deadline for a partition
-  int64_t throttle_duration_us = 40'000;   // heal deadline for a throttle
-  double throttle_scale = 0.25;            // effective-bandwidth multiplier
-  size_t min_alive_nodes = 2;              // never kill below this population
-  size_t max_concurrent_partitions = 2;
+  size_t min_alive_nodes = 2;  // never kill below this population
 };
 
 class ChaosSchedule {

@@ -116,19 +116,7 @@ std::string ClusterInspector::RenderHtml() const {
 
 void Profiler::RecordEvent(const std::string& source, const std::string& label, int64_t start_us,
                            int64_t end_us) {
-  trace::Tracer& tracer = trace::Tracer::Instance();
-  if (!tracer.config().durable_user_events) {
-    // Default path: wait-free ring-buffer write. The seed routed every event
-    // through EventLog::Append — a GCS chain round per event on the hot path,
-    // which perturbed the control-plane latencies under measurement.
-    tracer.EmitUser(source, label, start_us, end_us);
-    return;
-  }
-  Writer w;
-  Put(w, label);
-  w.WritePod<int64_t>(start_us);
-  w.WritePod<int64_t>(end_us);
-  cluster_->tables().events.Append(source, w.Finish()->ToString());
+  trace::Tracer::Instance().EmitUser(source, label, start_us, end_us);
 }
 
 std::string Profiler::ExportChromeTrace(const std::vector<std::string>& sources) const {
@@ -158,8 +146,7 @@ std::string Profiler::ExportChromeTrace(const std::vector<std::string>& sources)
     std::string label = tracer.InternedString(static_cast<uint32_t>(ev.arg & 0xffffffffu));
     append(label, source, ev.start_us, ev.dur_us);
   }
-  // Durable EventLog entries (written when durable_user_events is set, or by
-  // rare always-durable events like node death).
+  // Durable EventLog entries: rare cluster events such as node death.
   for (const std::string& source : sources) {
     auto events = cluster_->tables().events.Get(source);
     if (!events.ok()) {

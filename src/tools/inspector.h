@@ -87,18 +87,17 @@ class Profiler {
  public:
   explicit Profiler(Cluster* cluster) : cluster_(cluster) {}
 
-  // Records a profiling event. By default this lands in the in-process
-  // tracer's ring buffers (wait-free; no GCS round — the seed pushed every
-  // event through EventLog::Append, a chain-replication round that perturbed
-  // exactly the latencies being measured). Set
-  // TraceConfig::durable_user_events to restore the durable GCS path.
+  // Records a profiling event in the in-process tracer's ring buffers
+  // (wait-free; no GCS round — a chain-replication round per event would
+  // perturb exactly the latencies being measured).
   void RecordEvent(const std::string& source, const std::string& label, int64_t start_us,
                    int64_t end_us);
 
   // Renders all events for `sources` as a Chrome tracing JSON document
   // (chrome://tracing "traceEvents" format), the paper's
-  // timeline-visualization backend. Merges tracer-buffered events with any
-  // durable EventLog entries for the same sources.
+  // timeline-visualization backend. Merges tracer-buffered events with the
+  // durable EventLog entries for the same sources (the failure detector's
+  // "node-death:" records under "cluster").
   std::string ExportChromeTrace(const std::vector<std::string>& sources) const;
 
   // Summarizes the lifetime states of `tasks` from the Task Table.

@@ -81,15 +81,21 @@ const char* TraceModeName(TraceMode mode) {
 
 Tracer& Tracer::Instance() {
   // Leaked: emitter threads (schedulers, actors) may outlive static
-  // destruction order, and the rings they hold must stay valid.
-  static Tracer* instance = new Tracer();
+  // destruction order, and the rings they hold must stay valid. Creating the
+  // tracer arms the flight recorder, so a fatal check in any process that
+  // traces dumps the merged trace to RAY_TRACE_FLIGHT_PATH (default
+  // "flight_record.json").
+  static Tracer* instance = [] {
+    auto* tracer = new Tracer();
+    InstallFlightRecorderHook();
+    return tracer;
+  }();
   return *instance;
 }
 
 void Tracer::Configure(const TraceConfig& config) {
   {
     MutexLock lock(registry_mu_);
-    config_ = config;
     rings_.clear();
     intern_ids_.clear();
     intern_strings_.clear();
@@ -100,16 +106,6 @@ void Tracer::Configure(const TraceConfig& config) {
                        std::memory_order_relaxed);
   generation_.fetch_add(1, std::memory_order_release);
   mode_.store(config.mode, std::memory_order_relaxed);
-  if (config.flight_recorder) {
-    InstallFlightRecorderHook();
-  }
-}
-
-TraceConfig Tracer::config() const {
-  MutexLock lock(registry_mu_);
-  TraceConfig copy = config_;
-  copy.mode = mode_.load(std::memory_order_relaxed);
-  return copy;
 }
 
 void Tracer::SetMode(TraceMode mode) { mode_.store(mode, std::memory_order_relaxed); }

@@ -92,12 +92,6 @@ struct TraceConfig {
   uint32_t sample_period = 16;
   // Events per thread ring; oldest overwritten when full.
   size_t ring_capacity = 4096;
-  // Dump the merged trace to RAY_TRACE_FLIGHT_PATH (default
-  // "flight_record.json") when a fatal check fires.
-  bool flight_recorder = false;
-  // Route tools::Profiler::RecordEvent to the durable GCS event log instead
-  // of the tracer (the seed behavior; costs a chain round per event).
-  bool durable_user_events = false;
 };
 
 // Fixed-size POD record. `node` is where the event happened (destination for
@@ -123,7 +117,6 @@ class Tracer {
   // Replaces the config and drops all buffered events (rings re-register
   // lazily with the new capacity). Not meant to race with active emitters.
   void Configure(const TraceConfig& config);
-  TraceConfig config() const;
   void SetMode(TraceMode mode);
   TraceMode mode() const { return mode_.load(std::memory_order_relaxed); }
   bool Enabled() const { return mode() != TraceMode::kOff; }
@@ -206,8 +199,6 @@ class Tracer {
 
   mutable Mutex registry_mu_{"Tracer.registry_mu"};
   std::vector<std::shared_ptr<Ring>> rings_ GUARDED_BY(registry_mu_);
-  // Full copy for config(); the atomics above are the hot mirrors.
-  TraceConfig config_ GUARDED_BY(registry_mu_);
   std::unordered_map<std::string, uint32_t> intern_ids_ GUARDED_BY(registry_mu_);
   std::vector<std::string> intern_strings_ GUARDED_BY(registry_mu_);
 };

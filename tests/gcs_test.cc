@@ -260,7 +260,6 @@ TEST(GcsTest, GroupCommitCoalescesConcurrentWrites) {
   ControlPlaneMetrics::Instance().Reset();
   GcsConfig config;
   config.num_shards = 1;  // all writers collide on one shard's batcher
-  config.batch_max_ops = 64;
   Gcs gcs(config);
   constexpr int kThreads = 8;
   constexpr int kWrites = 40;
@@ -291,26 +290,11 @@ TEST(GcsTest, GroupCommitCoalescesConcurrentWrites) {
   }
 }
 
-// batch_max_ops <= 1 must fall back to the unbatched write path.
-TEST(GcsTest, BatchingDisabledWritesDirectly) {
-  ControlPlaneMetrics::Instance().Reset();
-  GcsConfig config;
-  config.batch_max_ops = 1;
-  Gcs gcs(config);
-  EXPECT_TRUE(gcs.Put("k", "v").ok());
-  EXPECT_TRUE(gcs.Append("l", "e").ok());
-  EXPECT_TRUE(gcs.Delete("k").ok());
-  EXPECT_FALSE(gcs.Contains("k"));
-  EXPECT_EQ(gcs.GetList("l")->size(), 1u);
-  EXPECT_EQ(ControlPlaneMetrics::Instance().gcs_batch_rounds.Value(), 0u);
-}
-
 // Appends to one list key from many threads must all commit exactly once and
 // publish exactly once each, in commit order.
 TEST(GcsTest, BatchedAppendsAllCommitAndPublishInCommitOrder) {
   GcsConfig config;
   config.num_shards = 2;
-  config.publish_workers = 1;
   Gcs gcs(config);
   std::vector<std::string> published;
   uint64_t token = gcs.Subscribe(
@@ -349,7 +333,6 @@ TEST(GcsTest, SubscribeThenReadSeesEveryCommit) {
   std::atomic<int> failed_writes{0};
   std::atomic<int> missed{0};
   GcsConfig config;
-  config.publish_workers = 2;
   config.chain.hop_latency_us = 200;
   Gcs gcs(config);
   std::vector<std::thread> threads;

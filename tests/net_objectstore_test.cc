@@ -218,7 +218,7 @@ TEST(ObjectStoreTest, DiskTierPromotionWaitsOutTheReadTime) {
   ObjectId first = ObjectId::FromRandom();
   s.a.Put(first, MakeBuffer(60'000, 1));
   s.a.Put(ObjectId::FromRandom(), MakeBuffer(60'000, 2));  // demotes `first`
-  const double read_us = 60'000 / StorePair::Config(100'000).disk_read_bytes_per_sec * 1e6;
+  const double read_us = 60'000 / ObjectStore::kDiskReadBytesPerSec * 1e6;
   Timer t;
   auto v = s.a.GetLocal(first);
   ASSERT_TRUE(v.ok());

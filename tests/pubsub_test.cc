@@ -36,17 +36,6 @@ TEST(PubSubTest, DeliversToAllSubscribersOfKey) {
   EXPECT_EQ(pubsub.NumSubscriptions(), 0u);
 }
 
-TEST(PubSubTest, InlineDeliveryWithZeroWorkers) {
-  PubSub pubsub(/*num_workers=*/0);
-  int count = 0;  // no atomics needed: delivery is on the publishing thread
-  uint64_t token = pubsub.Subscribe("k", [&](const std::string&, const std::string&) { ++count; });
-  pubsub.Publish("k", "v");
-  EXPECT_EQ(count, 1);
-  pubsub.Unsubscribe("k", token);
-  pubsub.Publish("k", "v");
-  EXPECT_EQ(count, 1);
-}
-
 // A publish to a key with no subscription is dropped on the spot: nothing is
 // copied into a worker queue. The one worker is held inside a callback, so
 // every queued event stays visible to QueueDepth.

@@ -64,10 +64,10 @@ TEST(ServingTest, SpreadPlacementLandsReplicasOnDistinctNodes) {
   ASSERT_TRUE(router.Start(4).ok());
   // Four replicas over four nodes: the spread rank (fewest current group
   // members per node) must land exactly one on each.
-  EXPECT_EQ(DistinctReplicaNodes(*cluster, config.group), 4u);
+  EXPECT_EQ(DistinctReplicaNodes(*cluster, serve::kReplicaGroup), 4u);
   router.Stop();
   // Stop() retires the group's membership records.
-  auto after = cluster->tables().serve.GetReplicas(config.group);
+  auto after = cluster->tables().serve.GetReplicas(serve::kReplicaGroup);
   ASSERT_TRUE(after.ok());
   EXPECT_TRUE(after->empty());
 }
@@ -178,7 +178,7 @@ TEST(ServingTest, NodeKillReroutesWithinBoundedWindow) {
   config.request_timeout_us = 300'000;
   serve::Router router(Ray::OnNode(*cluster, 0), config);
   ASSERT_TRUE(router.Start(3).ok());
-  ASSERT_GE(DistinctReplicaNodes(*cluster, config.group), 3u);
+  ASSERT_GE(DistinctReplicaNodes(*cluster, serve::kReplicaGroup), 3u);
 
   serve::LoadGenConfig load;
   load.qps = 120;
@@ -189,7 +189,7 @@ TEST(ServingTest, NodeKillReroutesWithinBoundedWindow) {
 
   SleepMicros(1'000'000);
   // Kill a node hosting a replica (never the driver's home node).
-  auto replicas = cluster->tables().serve.GetReplicas(config.group);
+  auto replicas = cluster->tables().serve.GetReplicas(serve::kReplicaGroup);
   ASSERT_TRUE(replicas.ok());
   NodeId victim;
   for (const auto& r : *replicas) {

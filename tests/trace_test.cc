@@ -1,12 +1,14 @@
 // Tests for the distributed tracing subsystem (src/trace/): ring-buffer
 // overwrite semantics, concurrent emit vs snapshot, sampling coherence,
-// cross-node span merging, Chrome-trace JSON validity, the flight-recorder
-// hang watchdog, and the Profiler's tracer-backed fast path.
+// cross-node span merging, Chrome-trace JSON validity, the flight recorder
+// (hang watchdog and fatal checks), and the Profiler's tracer-backed fast
+// path.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cctype>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <thread>
@@ -408,10 +410,39 @@ TEST(TraceFlightRecorderTest, HangWatchdogDumpsTimeline) {
   EXPECT_FALSE(second.good());
 }
 
+#if !defined(__SANITIZE_ADDRESS__) && !defined(__SANITIZE_THREAD__)
+
+// Creating the tracer arms the flight recorder: a failed RAY_CHECK in a
+// traced process leaves the merged trace behind.
+TEST(TraceFlightRecorderDeathTest, FatalCheckWritesFlightRecord) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const std::string path = "trace_test_fatal_flight_record.json";
+  std::remove(path.c_str());
+  EXPECT_DEATH(
+      {
+        setenv("RAY_TRACE_FLIGHT_PATH", path.c_str(), 1);
+        auto& tracer = trace::Tracer::Instance();
+        tracer.Configure(FullConfig());
+        tracer.Emit(trace::Stage::kExec, 100, 50, TaskId::FromRandom(), ObjectId(),
+                    NodeId::FromRandom());
+        RAY_CHECK(false);
+      },
+      "Check failed");
+  std::ifstream in(path);
+  ASSERT_TRUE(in.good()) << "a fatal check must write the flight record";
+  std::stringstream buf;
+  buf << in.rdbuf();
+  EXPECT_NE(buf.str().find("fatal-check"), std::string::npos) << "dump is tagged with its reason";
+  std::remove(path.c_str());
+}
+
+#endif  // !sanitizers
+
 TEST(TraceProfilerTest, RecordEventRoutesToTracerNotGcs) {
-  trace::Tracer::Instance().Configure(trace::TraceConfig{});  // default: sampled, non-durable
+  trace::Tracer::Instance().Configure(trace::TraceConfig{});  // default: sampled
   ClusterConfig config;
-  config.num_nodes = 1;
+  config.num_nodes = 2;
+  config.scheduler.heartbeat_interval_us = 10'000;
   Cluster cluster(config);
   tools::Profiler profiler(&cluster);
   profiler.RecordEvent("worker-7", "rollout", 1000, 5000);
@@ -424,16 +455,15 @@ TEST(TraceProfilerTest, RecordEventRoutesToTracerNotGcs) {
   EXPECT_NE(json.find("\"rollout\""), std::string::npos);
   EXPECT_NE(json.find("\"dur\":4000"), std::string::npos);
 
-  // The durable knob restores the seed's EventLog path.
-  trace::TraceConfig durable_cfg;
-  durable_cfg.durable_user_events = true;
-  trace::Tracer::Instance().Configure(durable_cfg);
-  profiler.RecordEvent("worker-7", "train", 5000, 9000);
-  auto logged = cluster.tables().events.Get("worker-7");
-  ASSERT_TRUE(logged.ok());
-  EXPECT_EQ(logged->size(), 1u);
-  EXPECT_NE(profiler.ExportChromeTrace({"worker-7"}).find("\"train\""), std::string::npos);
-  trace::Tracer::Instance().Configure(trace::TraceConfig{});
+  // The export also merges the durable EventLog, where the failure detector
+  // records every node death under "cluster".
+  cluster.KillNode(1);
+  const int64_t deadline = NowMicros() + 10 * cluster.monitor().DetectionBoundUs();
+  while (cluster.monitor().NumDeathsDeclared() < 1 && NowMicros() < deadline) {
+    SleepMicros(5'000);
+  }
+  ASSERT_GE(cluster.monitor().NumDeathsDeclared(), 1u);
+  EXPECT_NE(profiler.ExportChromeTrace({"cluster"}).find("node-death:"), std::string::npos);
 }
 
 TEST(TraceReportTest, ClusterReportSurfacesControlPlaneAndTraceStats) {
