@@ -21,6 +21,11 @@ called under KvStore. `--exclude REGEX` (repeatable) drops matching samples
 first (for example teardown). `--require REGEX` exits nonzero unless some
 kept sample has a frame that matches.
 
+After running a command it also prints one `# rusage:` line for it (user and
+system CPU seconds, the system share, minor page faults): ITIMER_PROF charges
+the kernel's time in a page fault to the user instruction that faulted, so the
+samples alone cannot show the system share or the fault count.
+
 Limits: the kernel checks CPU timers once per tick, so there is at most one
 sample per tick of process CPU time (4 ms at HZ=250) whatever the interval;
 and backtrace() in a signal handler is best effort (a frame without unwind
@@ -33,6 +38,7 @@ import collections
 import ctypes
 import os
 import re
+import resource
 import struct
 import subprocess
 import sys
@@ -235,6 +241,15 @@ def report(samples, args, raws):
     return kept
 
 
+def rusage_line():
+    """CPU time and faults of the children waited for so far: the profiled command."""
+    ru = resource.getrusage(resource.RUSAGE_CHILDREN)
+    cpu = ru.ru_utime + ru.ru_stime
+    share = 100.0 * ru.ru_stime / cpu if cpu > 0 else 0.0
+    return (f"# rusage: user {ru.ru_utime:.2f} s, sys {ru.ru_stime:.2f} s ({share:.1f}%),"
+            f" minor faults {ru.ru_minflt}")
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--sampler", default=DEFAULT_SAMPLER, help="libray_cpu_sampler.so")
@@ -248,7 +263,7 @@ def main():
     args = parser.parse_args()
     command = args.command[1:] if args.command[:1] == ["--"] else args.command
 
-    code, out_dir = 0, None
+    code, out_dir, usage = 0, None, None
     if args.raw:
         paths = args.raw
     else:
@@ -263,6 +278,7 @@ def main():
                                                  env.get("LD_PRELOAD")) if p)
         env["RAY_CPU_PROFILE_OUT"] = os.path.join(out_dir, "prof.%p.raw")
         code = subprocess.run(command, env=env, check=False).returncode
+        usage = rusage_line()  # before addr2line and c++filt run as children too
         paths = sorted(os.path.join(out_dir, p) for p in os.listdir(out_dir)
                        if p.startswith("prof.") and p.endswith(".raw"))
     raws = [parse_raw(p) for p in paths]
@@ -271,6 +287,8 @@ def main():
             os.unlink(p)
         os.rmdir(out_dir)
     kept = report(symbolize(raws), args, raws)
+    if usage:
+        print(usage)
     if args.require:
         r = re.compile(args.require)
         if not any(r.search(f) for _, s in kept for f in s):

@@ -7,12 +7,13 @@ cd "$(dirname "$0")/.."
 
 cmake --preset asan >/dev/null
 cmake --build --preset asan -j"$(nproc)" \
-  --target fiber_test gcs_test pubsub_test scheduler_test net_objectstore_test pull_manager_test \
-  trace_test lease_test chaos_test serving_test dst_test
+  --target common_test fiber_test gcs_test pubsub_test scheduler_test net_objectstore_test \
+  pull_manager_test trace_test lease_test chaos_test serving_test dst_test
 
 export ASAN_OPTIONS="detect_leaks=1:halt_on_error=1"
 export UBSAN_OPTIONS="print_stacktrace=1:halt_on_error=1"
-for t in fiber_test gcs_test pubsub_test scheduler_test net_objectstore_test pull_manager_test trace_test; do
+for t in common_test fiber_test gcs_test pubsub_test scheduler_test net_objectstore_test \
+  pull_manager_test trace_test; do
   echo "== ASan/UBSan: $t =="
   ./build-asan/tests/"$t"
 done

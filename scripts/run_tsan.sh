@@ -2,6 +2,7 @@
 # ThreadSanitizer gate for the concurrency-heavy test binaries. The control
 # plane leans on fine-grained locking (GCS batcher, sharded pub-sub, the
 # scheduler's two-lock split), so these three must stay TSan-clean:
+#   common_test          - queues, sync helpers, thread pool, shared buffer cache
 #   fiber_test           - fiber context switches, park/unpark permit races
 #   gcs_test             - batcher, chain replication, pub-sub tables
 #   pubsub_test          - subscribe/unsubscribe/publish churn, ordering
@@ -17,11 +18,12 @@ cd "$(dirname "$0")/.."
 
 cmake --preset tsan >/dev/null
 cmake --build --preset tsan -j"$(nproc)" \
-  --target fiber_test gcs_test pubsub_test scheduler_test net_objectstore_test pull_manager_test \
-  trace_test lease_test chaos_test serving_test dst_test
+  --target common_test fiber_test gcs_test pubsub_test scheduler_test net_objectstore_test \
+  pull_manager_test trace_test lease_test chaos_test serving_test dst_test
 
 export TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1"
-for t in fiber_test gcs_test pubsub_test scheduler_test net_objectstore_test pull_manager_test trace_test; do
+for t in common_test fiber_test gcs_test pubsub_test scheduler_test net_objectstore_test \
+  pull_manager_test trace_test; do
   echo "== TSan: $t =="
   ./build-tsan/tests/"$t"
 done

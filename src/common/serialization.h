@@ -7,6 +7,7 @@
 #ifndef RAY_COMMON_SERIALIZATION_H_
 #define RAY_COMMON_SERIALIZATION_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <map>
@@ -26,24 +27,38 @@ class Writer {
  public:
   template <typename T>
   std::enable_if_t<std::is_trivially_copyable_v<T>> WritePod(const T& v) {
-    size_t off = bytes_.size();
-    bytes_.resize(off + sizeof(T));
-    std::memcpy(bytes_.data() + off, &v, sizeof(T));
+    WriteBytes(&v, sizeof v);
   }
 
   void WriteBytes(const void* data, size_t size) {
-    size_t off = bytes_.size();
-    bytes_.resize(off + size);
-    if (size > 0) {
-      std::memcpy(bytes_.data() + off, data, size);
+    if (size > block_.capacity() - size_) {
+      Grow(size);
     }
+    if (size > 0) {
+      std::memcpy(block_.data() + size_, data, size);
+    }
+    size_ += size;
   }
 
-  std::shared_ptr<Buffer> Finish() { return std::make_shared<Buffer>(std::move(bytes_)); }
-  size_t Size() const { return bytes_.size(); }
+  // Hands the written bytes to the returned Buffer without copying them.
+  std::shared_ptr<Buffer> Finish() {
+    return std::make_shared<Buffer>(std::move(block_), std::exchange(size_, 0));
+  }
 
  private:
-  std::vector<uint8_t> bytes_;
+  // Moves the written prefix into an uninitialized block with room for
+  // `size` more bytes, at least doubling the capacity.
+  void Grow(size_t size) {
+    Buffer::Block bigger(std::max({2 * block_.capacity(), size_ + size, kMinCapacity}));
+    if (size_ > 0) {
+      std::memcpy(bigger.data(), block_.data(), size_);
+    }
+    block_ = std::move(bigger);
+  }
+
+  static constexpr size_t kMinCapacity = 64;
+  Buffer::Block block_;
+  size_t size_ = 0;
 };
 
 class Reader {
@@ -67,9 +82,13 @@ class Reader {
     return p;
   }
 
+  size_t Remaining() const { return size_ - pos_; }
+
  private:
+  // Compares against the bytes left, so a length near 2^64 cannot wrap the
+  // bound.
   void Require(size_t n) const {
-    if (pos_ + n > size_) {
+    if (n > size_ - pos_) {
       throw std::out_of_range("serialization: buffer underrun");
     }
   }
@@ -144,13 +163,19 @@ struct Codec<std::vector<E>> {
     auto n = r.ReadPod<uint64_t>();
     std::vector<E> v;
     if constexpr (std::is_trivially_copyable_v<E> && !detail::HasCustomSerialize<E>::value) {
+      // Checked before the multiply below and before resize allocates.
+      if (n > r.Remaining() / sizeof(E)) {
+        throw std::out_of_range("serialization: buffer underrun");
+      }
       v.resize(n);
       const uint8_t* p = r.ReadBytes(n * sizeof(E));
       if (n > 0) {
         std::memcpy(v.data(), p, n * sizeof(E));
       }
     } else {
-      v.reserve(n);
+      // A corrupt count must not size the allocation: reserve no more than
+      // the bytes left.
+      v.reserve(std::min<uint64_t>(n, r.Remaining()));
       for (uint64_t i = 0; i < n; ++i) {
         v.push_back(Codec<E>::Read(r));
       }

@@ -187,12 +187,8 @@ void GcsMonitor::Sweep(int64_t now_us) {
 }
 
 void GcsMonitor::DeclareDead(const NodeId& node) {
-  deaths_declared_.fetch_add(1, std::memory_order_relaxed);
   RAY_LOG(WARNING) << "monitor: node " << ToShortString(node) << " missed "
                    << config_.miss_threshold << " heartbeat intervals; declaring dead";
-  // The membership append is the death notification: every LivenessView
-  // subscribes to it.
-  tables_->nodes.MarkDead(node);
   // Durable cluster event (Profiler wire format: label + start/end stamps).
   // Written here — not by the dying node — because a crashed node reports
   // nothing; detection is the only place death is actually known.
@@ -202,6 +198,13 @@ void GcsMonitor::DeclareDead(const NodeId& node) {
   w.WritePod<int64_t>(now);
   w.WritePod<int64_t>(now);
   tables_->events.Append("cluster", w.Finish()->ToString());
+  // Counted after the event and before the membership change, so whoever
+  // sees the death, by the count or through a LivenessView, also sees what
+  // came before it.
+  deaths_declared_.fetch_add(1, std::memory_order_release);
+  // The membership append is the death notification: every LivenessView
+  // subscribes to it.
+  tables_->nodes.MarkDead(node);
 }
 
 }  // namespace gcs

@@ -119,8 +119,11 @@ class GcsMonitor {
   // perfectly-alive nodes declared dead. On a quiet release build the
   // padding is a couple of milliseconds and the bound is close to naive.
   int64_t DetectionBoundUs() const { return detection_bound_us_; }
+  // Counts a death once its "node-death:" event is written, and before its
+  // membership change: a reader that sees the count can read the event, and
+  // one that sees the node dead in a LivenessView can read the count.
   uint64_t NumDeathsDeclared() const {
-    return deaths_declared_.load(std::memory_order_relaxed);
+    return deaths_declared_.load(std::memory_order_acquire);
   }
 
  private:

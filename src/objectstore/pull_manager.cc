@@ -177,7 +177,7 @@ void PullManager::Loop() {
     if (ev->epoch != e->current_epoch) {
       continue;  // chunk completion from a superseded transfer
     }
-    HandleChunkDone(e, ev->status);
+    HandleChunkDone(e, ev->status, ev->done_us);
   }
 }
 
@@ -241,6 +241,9 @@ bool PullManager::StartFromSource(const EntryPtr& e, Status* fail) {
     e->src_buffer = *r;
     if (!e->assembly) {
       e->size = e->src_buffer->Size();
+      // Uninitialized: the chunk copies write every byte before
+      // CompleteEntry seals it. A failover resumes at the failed chunk,
+      // which was never copied.
       e->assembly = std::make_shared<Buffer>(e->size);
       e->chunk_bytes = ResolveChunkBytes(e->size);
       e->num_chunks =
@@ -276,7 +279,9 @@ void PullManager::KickChunk(const EntryPtr& e) {
   ObjectId id = e->id;
   uint64_t token = net_->TransferAsync(
       e->src, node_, len, streams, id,
-      [this, id, epoch](Status s) { queue_.Push(Event{id, epoch, std::move(s), false}); });
+      [this, id, epoch](Status s) {
+        queue_.Push(Event{id, epoch, std::move(s), false, NowMicros()});
+      });
   e->net_token.store(token, std::memory_order_release);
   // A cancel that raced in between the aborted check above and the store may
   // have missed this token; re-check and release the wire ourselves.
@@ -303,7 +308,7 @@ void PullManager::HandleNodeDeath(const NodeId& node) {
       // Transfer was still pending: its completion callback will never fire,
       // so synthesize the failure here and fail over immediately — resuming
       // at the in-flight chunk.
-      HandleChunkDone(e, Status::NodeDead("source declared dead by failure detector"));
+      HandleChunkDone(e, Status::NodeDead("source declared dead by failure detector"), NowMicros());
     }
     // else: the completion already fired (its event is queued behind us);
     // the wire-level death check carried kNodeDead and the normal failover
@@ -311,7 +316,7 @@ void PullManager::HandleNodeDeath(const NodeId& node) {
   }
 }
 
-void PullManager::HandleChunkDone(const EntryPtr& e, const Status& status) {
+void PullManager::HandleChunkDone(const EntryPtr& e, const Status& status, int64_t done_us) {
   if (!status.ok()) {
     // Source (or we) died mid-transfer: fail over to another replica,
     // resuming at this chunk — never from byte zero.
@@ -330,7 +335,7 @@ void PullManager::HandleChunkDone(const EntryPtr& e, const Status& status) {
   }
   chunks_transferred_.fetch_add(1, std::memory_order_relaxed);
   size_t done_chunk = e->chunk;
-  int64_t chunk_duration_us = NowMicros() - e->chunk_sent_us;
+  int64_t chunk_duration_us = done_us - e->chunk_sent_us;
   e->chunk++;
   if (e->chunk < e->num_chunks) {
     // Pipeline: next chunk goes on the wire before this one is copied.

@@ -153,6 +153,9 @@ class PullManager {
     uint64_t epoch = 0;
     Status status;
     bool start = false;
+    // When the network finished the chunk. The chunk's duration ends here,
+    // not when the loop, busy copying the previous chunk, gets to the event.
+    int64_t done_us = 0;
     // Node-death notification (id is nil): every in-flight pull sourced from
     // dead_node fails over on the loop thread.
     bool death = false;
@@ -161,7 +164,7 @@ class PullManager {
 
   void Loop();
   void HandleStart(const EntryPtr& e);
-  void HandleChunkDone(const EntryPtr& e, const Status& status);
+  void HandleChunkDone(const EntryPtr& e, const Status& status, int64_t done_us);
   void HandleNodeDeath(const NodeId& node);
   // Picks the next live untried source and kicks the current chunk; returns
   // false (with `fail` set) when no source can serve the object.

@@ -4,6 +4,8 @@
 // resource algebra.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstring>
 #include <map>
 #include <set>
 #include <thread>
@@ -113,8 +115,11 @@ TEST_P(SerializationSizeTest, StringRoundTrip) {
   EXPECT_EQ(DeserializeValue<std::string>(*buf), s);
 }
 
+// 56 and 57: an 8-byte prefix plus 56 bytes fills the Writer's first 64-byte
+// block exactly, and one byte more makes it grow.
 INSTANTIATE_TEST_SUITE_P(Sizes, SerializationSizeTest,
-                         ::testing::Values(0, 1, 2, 7, 64, 1000, 65536));
+                         ::testing::Values(0, 1, 2, 7, 56, 57, 64, 1000, 4095, 65536,
+                                           (1 << 20) + 7));
 
 TEST(SerializationTest, NestedContainers) {
   std::vector<std::pair<std::string, std::vector<int>>> v = {
@@ -133,6 +138,22 @@ TEST(SerializationTest, UnderrunThrows) {
   auto buf = SerializeValue(std::string("hello"));
   Reader r(buf->Data(), 2);  // truncated
   EXPECT_THROW(Take<std::string>(r), std::out_of_range);
+}
+
+// A corrupt length prefix is refused by the bounds check before anything is
+// allocated: it must neither wrap the check nor size a vector.
+TEST(SerializationTest, OversizedLengthPrefixThrows) {
+  auto prefixed = [](uint64_t n) {
+    Writer w;
+    w.WritePod(n);
+    w.WriteBytes("0123456789abcdef", 16);
+    return w.Finish();
+  };
+  EXPECT_THROW(DeserializeValue<std::string>(*prefixed(UINT64_MAX)), std::out_of_range);
+  EXPECT_THROW(DeserializeValue<std::vector<float>>(*prefixed(uint64_t{1} << 62)),
+               std::out_of_range);
+  EXPECT_THROW(DeserializeValue<std::vector<std::string>>(*prefixed(uint64_t{1} << 62)),
+               std::out_of_range);
 }
 
 // --- resources ---
@@ -315,6 +336,9 @@ TEST(BufferTest, CopiesSourceBytes) {
   Buffer b(src.data(), src.size());
   EXPECT_EQ(b.ToString(), src);
   EXPECT_EQ(b.Size(), src.size());
+  EXPECT_TRUE(b == Buffer(src.data(), src.size()));
+  EXPECT_FALSE(b == Buffer(src.data(), src.size() - 1));
+  EXPECT_FALSE(b == Buffer("immutablE", src.size()));
 }
 
 TEST(BufferTest, FromString) {
@@ -322,6 +346,54 @@ TEST(BufferTest, FromString) {
   EXPECT_EQ(b->Size(), 3u);
   EXPECT_EQ(b->ToString(), "abc");
 }
+
+// Threads allocating and releasing 33 MiB buffers at once share the block
+// cache; each must keep a block no other thread writes (run under TSan too).
+TEST(BufferTest, ConcurrentLargeBuffersStayPrivate) {
+  constexpr size_t kSize = 33 << 20;
+  std::atomic<int> intact{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&, t] {
+      for (int round = 0; round < 4; ++round) {
+        Buffer b(kSize);
+        const auto fill = static_cast<uint8_t>(t * 4 + round + 1);
+        std::memset(b.MutableData(), fill, kSize);
+        std::this_thread::yield();
+        bool same = true;
+        for (size_t i = 0; i < kSize; i += 4096) {
+          same = same && b.Data()[i] == fill && b.Data()[i + 4095] == fill;
+        }
+        intact.fetch_add(same ? 1 : 0);
+      }
+    });
+  }
+  for (auto& th : threads) {
+    th.join();
+  }
+  EXPECT_EQ(intact.load(), 16);
+}
+
+#if defined(__SANITIZE_ADDRESS__)
+// A released block of 32 MiB or more is cached, not unmapped, so a stale
+// pointer into it still reads mapped memory. ASan poisons cached blocks to
+// report that read as it would a read of freed heap memory.
+TEST(BufferDeathTest, ReadOfCachedBlockIsReported) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(
+      {
+        const uint8_t* stale = nullptr;
+        {
+          Buffer b(33 << 20);
+          std::memset(b.MutableData(), 1, b.Size());
+          stale = b.Data();
+        }
+        volatile uint8_t byte = stale[4096];
+        (void)byte;
+      },
+      "use-after-poison");
+}
+#endif
 
 }  // namespace
 }  // namespace ray

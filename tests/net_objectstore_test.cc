@@ -3,10 +3,12 @@
 // seal/get/replication, LRU eviction to the disk tier, blocking gets woken
 // by pub-sub, and parallel copy correctness.
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
 #include <thread>
 
 #include "common/clock.h"
+#include "common/serialization.h"
 #include "net/sim_network.h"
 #include "objectstore/object_store.h"
 
@@ -245,6 +247,29 @@ TEST(ObjectStoreTest, DeleteLocalRetractsLocation) {
   EXPECT_TRUE(s.a.DeleteLocal(id).ok());
   EXPECT_FALSE(s.a.ContainsLocal(id));
   EXPECT_TRUE(s.tables.objects.GetLocations(id)->locations.empty());
+}
+
+// Serializing, storing and deleting a 40 MiB value round after round reuses
+// one mapped block: only the first round faults its pages in. A fresh mapping
+// per round (glibc maps every request of 32 MiB or more) faults all 10240
+// pages of it each time.
+TEST(ObjectStoreTest, LargeObjectChurnReusesPages) {
+  StorePair s;
+  const std::string value(40 << 20, 'v');
+  auto churn = [&] {
+    ObjectId id = ObjectId::FromRandom();
+    ASSERT_TRUE(s.a.Put(id, SerializeValue(value)).ok());
+    ASSERT_TRUE(s.a.DeleteLocal(id).ok());
+  };
+  churn();
+  rusage before{};
+  getrusage(RUSAGE_SELF, &before);
+  for (int round = 1; round < 16; ++round) {
+    churn();
+  }
+  rusage after{};
+  getrusage(RUSAGE_SELF, &after);
+  EXPECT_LT(after.ru_minflt - before.ru_minflt, (40 << 20) / 4096);
 }
 
 // Parallel copy correctness across sizes and thread counts.

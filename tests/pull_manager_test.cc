@@ -7,6 +7,7 @@
 
 #include <atomic>
 #include <cstring>
+#include <set>
 #include <thread>
 #include <vector>
 
@@ -65,19 +66,24 @@ struct Cluster {
   ObjectStore c;
 };
 
-BufferPtr PatternBuffer(size_t size) {
+// Patterns with different salts differ in every byte.
+uint8_t PatternByte(size_t i, uint8_t salt) {
+  return static_cast<uint8_t>(((i * 131) ^ (i >> 11)) + salt);
+}
+
+BufferPtr PatternBuffer(size_t size, uint8_t salt = 0) {
   auto buf = std::make_shared<Buffer>(size);
   uint8_t* p = buf->MutableData();
   for (size_t i = 0; i < size; ++i) {
-    p[i] = static_cast<uint8_t>((i * 131) ^ (i >> 11));
+    p[i] = PatternByte(i, salt);
   }
   return buf;
 }
 
-bool MatchesPattern(const Buffer& buf) {
+bool MatchesPattern(const Buffer& buf, uint8_t salt = 0) {
   const uint8_t* p = buf.Data();
   for (size_t i = 0; i < buf.Size(); ++i) {
-    if (p[i] != static_cast<uint8_t>((i * 131) ^ (i >> 11))) {
+    if (p[i] != PatternByte(i, salt)) {
       return false;
     }
   }
@@ -149,6 +155,56 @@ TEST(PullManagerTest, MidTransferSourceKillFailsOverAndResumes) {
   // wire bytes stay far below 2x the object size.
   EXPECT_GE(cl.net.TotalBytesTransferred(), kSize);
   EXPECT_LE(cl.net.TotalBytesTransferred(), kSize + 4 * (1 << 20));
+}
+
+// The assembly buffer starts uninitialized, so a block reused from the cache
+// still holds an older object's bytes: the chunk copies must overwrite every
+// one of them, on a plain pull and on one that fails over mid-object.
+TEST(PullManagerTest, RecycledBlockIsFullyOverwritten) {
+  Cluster cl(/*chunk_bytes=*/1 << 20);
+  const size_t kSize = 33 << 20;  // 33 chunks, ~10ms each on the wire
+  // Three 33 MiB blocks holding pattern 1 go to the block cache: the source
+  // and the copies pulled to b and c.
+  ObjectId old_id = ObjectId::FromRandom();
+  std::set<const uint8_t*> stale_blocks;
+  {
+    BufferPtr old = PatternBuffer(kSize, 1);
+    cl.a.Put(old_id, old);
+    ASSERT_TRUE(cl.b.Fetch(old_id, cl.a.node()).ok());
+    ASSERT_TRUE(cl.c.Fetch(old_id, cl.a.node()).ok());
+    for (ObjectStore* store : {&cl.a, &cl.b, &cl.c}) {
+      stale_blocks.insert((*store->GetLocal(old_id))->Data());
+      ASSERT_TRUE(store->DeleteLocal(old_id).ok());
+    }
+  }
+
+  // The new object's source takes one of them; its two replicas share it.
+  ObjectId id = ObjectId::FromRandom();
+  {
+    BufferPtr fresh = PatternBuffer(kSize, 2);
+    cl.a.Put(id, fresh);
+    cl.c.Put(id, fresh);
+  }
+  ASSERT_TRUE(cl.b.Fetch(id, cl.a.node()).ok());
+  BufferPtr plain = *cl.b.GetLocal(id);
+  EXPECT_EQ(stale_blocks.count(plain->Data()), 1u) << "the pull did not reuse a cached block";
+  EXPECT_TRUE(MatchesPattern(*plain, 2));
+
+  // `plain` stays alive, so the second pull gets the last stale block.
+  ASSERT_TRUE(cl.b.DeleteLocal(id).ok());
+  uint64_t sent = cl.net.TotalBytesTransferred();
+  Status fetched;
+  std::thread puller([&] { fetched = cl.b.Fetch(id, cl.a.node()); });
+  while (cl.net.TotalBytesTransferred() < sent + kSize / 4) {
+    SleepMicros(1000);
+  }
+  cl.net.SetNodeDead(cl.a.node(), true);
+  puller.join();
+  ASSERT_TRUE(fetched.ok()) << fetched.ToString();
+  EXPECT_GE(cl.b.pull_manager().NumFailovers(), 1u);
+  BufferPtr failed_over = *cl.b.GetLocal(id);
+  EXPECT_EQ(stale_blocks.count(failed_over->Data()), 1u) << "the pull did not reuse a cached block";
+  EXPECT_TRUE(MatchesPattern(*failed_over, 2));
 }
 
 TEST(PullManagerTest, AllReplicasDeadFailsPull) {
