@@ -76,7 +76,7 @@ void Gcs::ShardBatcher::FlusherLoop() {
       queue_.pop_front();
     }
     for (Slot* slot : batch) {
-      ops.push_back(slot->op);
+      ops.push_back(std::move(slot->op));  // only ops[i] is read from here on
     }
     lock.Unlock();
 
@@ -95,9 +95,9 @@ void Gcs::ShardBatcher::FlusherLoop() {
     // observes the same order the chain committed. Publishing only after
     // ApplyBatch is what lets PubSub drop events for keys with no
     // subscription: a later subscriber reads the committed value itself.
-    for (Slot* slot : batch) {
-      if (slot->publish && status.ok()) {
-        pubsub_->Publish(slot->op.key, slot->op.value);
+    for (size_t i = 0; i < batch.size(); ++i) {
+      if (batch[i]->publish && status.ok()) {
+        pubsub_->Publish(ops[i].key, ops[i].value);
       }
     }
 

@@ -205,6 +205,12 @@ bool ObjectStore::ContainsLocal(const ObjectId& id) const {
   return objects_.count(id) > 0;
 }
 
+size_t ObjectStore::LocalSize(const ObjectId& id) const {
+  ReaderMutexLock lock(mu_);
+  auto it = objects_.find(id);
+  return it == objects_.end() ? 0 : it->second.buffer->Size();
+}
+
 uint64_t ObjectStore::PullAsync(const ObjectId& id, PullCallback cb) {
   return pull_manager_->Pull(id, std::move(cb));
 }

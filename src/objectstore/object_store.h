@@ -86,6 +86,10 @@ class ObjectStore {
   Result<BufferPtr> GetLocal(const ObjectId& id);
 
   bool ContainsLocal(const ObjectId& id) const;
+  // Size of the local copy in either tier, or 0 if there is none. Takes the
+  // shared lock only: no disk-tier promotion and no GCS call, so it is safe
+  // in a pull callback.
+  size_t LocalSize(const ObjectId& id) const;
 
   // Full get: local hit, else pull from a live remote replica (deduped with
   // any concurrent pull of the same object), else block on the Object Table

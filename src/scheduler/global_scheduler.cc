@@ -44,33 +44,20 @@ GlobalScheduler::GlobalScheduler(gcs::GcsTables* tables, SimNetwork* net,
       config_(config),
       liveness_(liveness) {}
 
-double GlobalScheduler::EstimateWait(const gcs::Heartbeat& hb, const TaskSpec& spec,
+double GlobalScheduler::EstimateWait(const gcs::Heartbeat& hb,
+                                     const std::vector<gcs::ObjectTable::Entry>& inputs,
                                      const NodeId& node) const {
   double task_dur = hb.avg_task_duration_s > 0 ? hb.avg_task_duration_s : kDefaultTaskDurationS;
   double wait = static_cast<double>(hb.queue_length) * task_dur;
-  if (config_.locality_aware) {
-    // Transfer time for inputs that are not already on `node` (Fig. 8a).
-    double bw = hb.avg_bandwidth_bytes_s > 0 ? hb.avg_bandwidth_bytes_s : config_.default_bandwidth_bytes_s;
-    uint64_t remote_bytes = 0;
-    for (const ObjectId& dep : spec.Dependencies()) {
-      auto entry = tables_->objects.GetLocations(dep);
-      if (!entry.ok()) {
-        continue;  // unknown object: no information either way
-      }
-      bool local = false;
-      for (const NodeId& loc : entry->locations) {
-        if (loc == node) {
-          local = true;
-          break;
-        }
-      }
-      if (!local) {
-        remote_bytes += entry->size_bytes;
-      }
+  // Transfer time for inputs that are not already on `node` (Fig. 8a).
+  double bw = hb.avg_bandwidth_bytes_s > 0 ? hb.avg_bandwidth_bytes_s : config_.default_bandwidth_bytes_s;
+  uint64_t remote_bytes = 0;
+  for (const gcs::ObjectTable::Entry& entry : inputs) {
+    if (std::find(entry.locations.begin(), entry.locations.end(), node) == entry.locations.end()) {
+      remote_bytes += entry.size_bytes;
     }
-    wait += static_cast<double>(remote_bytes) / bw;
   }
-  return wait;
+  return wait + static_cast<double>(remote_bytes) / bw;
 }
 
 Result<NodeId> GlobalScheduler::Place(const TaskSpec& spec) const {
@@ -115,6 +102,16 @@ Result<NodeId> GlobalScheduler::Place(const TaskSpec& spec) const {
       ties.push_back(node);  // equal rank: break randomly below
     }
   };
+  // Each input's locations are read once here, not once per candidate node.
+  std::vector<gcs::ObjectTable::Entry> inputs;
+  if (config_.locality_aware) {
+    for (const ObjectId& dep : spec.Dependencies()) {
+      auto entry = tables_->objects.GetLocations(dep);
+      if (entry.ok()) {  // an unknown object gives no information either way
+        inputs.push_back(std::move(*entry));
+      }
+    }
+  }
   for (const NodeId& node : tables_->nodes.GetAlive()) {
     if (liveness_ != nullptr && liveness_->IsDead(node)) {
       continue;  // declared dead; the Node Table read may be a step behind
@@ -127,7 +124,7 @@ Result<NodeId> GlobalScheduler::Place(const TaskSpec& spec) const {
       continue;  // node can never satisfy this task
     }
     Rank rank;
-    rank.wait = EstimateWait(*hb, spec, node);
+    rank.wait = EstimateWait(*hb, inputs, node);
     if (spread) {
       rank.group_count =
           static_cast<double>(tables_->serve.CountReplicasOn(spec.spread_group, node));

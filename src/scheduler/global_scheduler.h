@@ -50,7 +50,10 @@ class GlobalScheduler {
   uint64_t NumScheduled() const { return num_scheduled_.load(std::memory_order_relaxed); }
 
  private:
-  double EstimateWait(const gcs::Heartbeat& hb, const TaskSpec& spec, const NodeId& node) const;
+  // `inputs` are the Object Table entries of the task's known inputs, read
+  // once per placement (empty when placement ignores locality).
+  double EstimateWait(const gcs::Heartbeat& hb, const std::vector<gcs::ObjectTable::Entry>& inputs,
+                      const NodeId& node) const;
   Status ScheduleOnce(const TaskSpec& spec, const NodeId& from);
 
   NodeId id_;  // synthetic endpoint for latency accounting

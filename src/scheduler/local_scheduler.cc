@@ -285,10 +285,12 @@ void LocalScheduler::OnPullDone(const ObjectId& object, int64_t start_us, Status
   }
   if (!shutdown_.load(std::memory_order_relaxed)) {
     if (status.ok()) {
-      auto entry = tables_->objects.GetLocations(object);
+      // The size comes from the copy just sealed here: a GCS read on the
+      // pull loop would stall every other pull on this node.
+      size_t size = store_->LocalSize(object);
       double secs = static_cast<double>(NowMicros() - start_us) * 1e-6;
-      if (entry.ok() && secs > 0 && entry->size_bytes > 0) {
-        bandwidth_ema_.Observe(static_cast<double>(entry->size_bytes) / secs);
+      if (secs > 0 && size > 0) {
+        bandwidth_ema_.Observe(static_cast<double>(size) / secs);
       }
       OnObjectLocal(object);
     } else {

@@ -4,8 +4,10 @@
 // resource algebra.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstring>
+#include <fstream>
 #include <map>
 #include <set>
 #include <thread>
@@ -327,6 +329,119 @@ TEST(ThreadPoolTest, ShutdownDrainsQueuedWork) {
     }
   }  // destructor drains
   EXPECT_EQ(done.Value(), 50u);
+}
+
+// OS threads in this process (`Threads:` in /proc/self/status). Tests compare
+// two readings, so threads a sanitizer runs for itself cancel out.
+int64_t ThreadCount() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("Threads:", 0) == 0) {
+      return std::stoll(line.substr(8));
+    }
+  }
+  ADD_FAILURE() << "no Threads: line in /proc/self/status";
+  return 0;
+}
+
+// A sanitizer may start a helper thread at the process's first thread
+// creation; start one first so a test's own readings do not see it.
+void StartHelperThreads() { std::thread([] {}).join(); }
+
+TEST(ThreadPoolTest, StartsNoThreadBeforeFirstSubmit) {
+  StartHelperThreads();
+  int64_t before = ThreadCount();
+  ThreadPool pool(4);
+  EXPECT_LE(ThreadCount() - before, 0) << "the constructor must not start threads";
+  Notification ran;
+  ASSERT_TRUE(pool.Submit([&] { ran.Notify(); }));
+  ran.Wait();
+  EXPECT_LE(ThreadCount() - before, 1) << "one job needs one thread";
+}
+
+TEST(ThreadPoolTest, NeverRunsMoreThreadsThanItsCap) {
+  StartHelperThreads();
+  constexpr int kCap = 3;
+  constexpr int kJobs = 12;
+  int64_t before = ThreadCount();
+  ThreadPool pool(kCap);
+  Mutex mu;
+  CondVar cv;
+  int running = 0;
+  int max_running = 0;
+  bool release = false;
+  CountDownLatch done(kJobs);
+  for (int i = 0; i < kJobs; ++i) {
+    ASSERT_TRUE(pool.Submit([&] {
+      {
+        MutexLock lock(mu);
+        max_running = std::max(max_running, ++running);
+        cv.NotifyAll();
+        while (!release) {
+          cv.Wait(mu);
+        }
+        --running;
+      }
+      done.CountDown();
+    }));
+  }
+  {
+    MutexLock lock(mu);
+    while (running < kCap) {
+      cv.Wait(mu);
+    }
+  }
+  SleepMicros(20'000);  // time for any thread beyond the cap to show up
+  EXPECT_LE(ThreadCount() - before, kCap);
+  {
+    MutexLock lock(mu);
+    EXPECT_EQ(running, kCap);
+    release = true;
+    cv.NotifyAll();
+  }
+  done.Wait();
+  EXPECT_EQ(max_running, kCap);
+  EXPECT_LE(ThreadCount() - before, kCap);
+}
+
+TEST(ThreadPoolTest, JobsSubmittedTogetherRunInParallelUpToTheCap) {
+  // Each job waits for all kCap to start: with fewer threads than jobs this
+  // would deadlock, so every job must get a thread of its own.
+  constexpr int kCap = 6;
+  ThreadPool pool(kCap);
+  CountDownLatch started(kCap);
+  std::atomic<int> met{0};
+  CountDownLatch done(kCap);
+  for (int i = 0; i < kCap; ++i) {
+    ASSERT_TRUE(pool.Submit([&] {
+      started.CountDown();
+      if (started.WaitFor(std::chrono::seconds(10))) {
+        met.fetch_add(1);
+      }
+      done.CountDown();
+    }));
+  }
+  done.Wait();
+  EXPECT_EQ(met.load(), kCap);
+}
+
+TEST(ThreadPoolTest, SubmitAfterShutdownStartsNothing) {
+  StartHelperThreads();
+  int64_t before = ThreadCount();
+  ThreadPool pool(2);
+  pool.Shutdown();
+  bool ran = false;
+  EXPECT_FALSE(pool.Submit([&] { ran = true; }));
+  EXPECT_LE(ThreadCount() - before, 0);
+  pool.Shutdown();  // idempotent; the destructor calls it again
+  EXPECT_FALSE(ran);
+}
+
+TEST(ThreadPoolTest, UnusedPoolShutsDownCleanly) {
+  { ThreadPool never_used(8); }
+  ThreadPool shut(8);
+  shut.Shutdown();
 }
 
 // --- buffer ---

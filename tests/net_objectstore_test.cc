@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 #include <sys/resource.h>
 
+#include <fstream>
+#include <string>
 #include <thread>
 
 #include "common/clock.h"
@@ -228,6 +230,18 @@ TEST(ObjectStoreTest, DiskTierPromotionWaitsOutTheReadTime) {
   EXPECT_EQ((*v)->Data()[0], 1);
 }
 
+TEST(ObjectStoreTest, LocalSizeReadsEitherTierWithoutPromoting) {
+  StorePair s(100'000);
+  ObjectId first = ObjectId::FromRandom();
+  ObjectId second = ObjectId::FromRandom();
+  s.a.Put(first, MakeBuffer(60'000, 1));
+  s.a.Put(second, MakeBuffer(50'000, 2));  // demotes `first`
+  EXPECT_EQ(s.a.LocalSize(first), 60'000u);
+  EXPECT_EQ(s.a.LocalSize(second), 50'000u);
+  EXPECT_EQ(s.a.UsedBytes(), 50'000u) << "`first` must stay on the disk tier";
+  EXPECT_EQ(s.b.LocalSize(first), 0u);
+}
+
 TEST(ObjectStoreTest, CrashClearLosesEverything) {
   StorePair s;
   ObjectId id = ObjectId::FromRandom();
@@ -270,6 +284,45 @@ TEST(ObjectStoreTest, LargeObjectChurnReusesPages) {
   rusage after{};
   getrusage(RUSAGE_SELF, &after);
   EXPECT_LT(after.ru_minflt - before.ru_minflt, (40 << 20) / 4096);
+}
+
+// OS threads in this process (`Threads:` in /proc/self/status). The test
+// compares two readings, so threads a sanitizer runs for itself cancel out.
+int64_t ThreadCount() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("Threads:", 0) == 0) {
+      return std::stoll(line.substr(8));
+    }
+  }
+  ADD_FAILURE() << "no Threads: line in /proc/self/status";
+  return 0;
+}
+
+// Copy threads start with a store's first large pull, not when it is built:
+// a node whose objects stay under ParallelCopy's inline limit never runs them.
+TEST(ObjectStoreTest, CopyThreadsStartWithTheFirstLargePull) {
+  gcs::Gcs gcs(gcs::GcsConfig{});
+  gcs::GcsTables tables(&gcs);
+  SimNetwork net(NetConfig{.latency_us = 10});
+  ObjectStoreConfig config;
+  config.num_transfer_threads = 8;
+  int64_t before = ThreadCount();
+  ObjectStore a(NodeId::FromRandom(), &tables, &net, config);
+  ObjectStore b(NodeId::FromRandom(), &tables, &net, config);
+  EXPECT_LE(ThreadCount() - before, 2) << "a store starts its pull loop and no copy thread";
+  a.SetPeerResolver([&](const NodeId& id) { return id == b.node() ? &b : nullptr; });
+  b.SetPeerResolver([&](const NodeId& id) { return id == a.node() ? &a : nullptr; });
+
+  constexpr size_t kSize = 1 << 20;  // above parallel_copy_threshold (512 KiB)
+  ObjectId id = ObjectId::FromRandom();
+  ASSERT_TRUE(a.Put(id, MakeBuffer(kSize, 5)).ok());
+  int64_t built = ThreadCount();
+  auto got = b.Get(id, 5'000'000);
+  ASSERT_TRUE(got.ok());
+  EXPECT_EQ((*got)->Data()[kSize - 1], 5);
+  EXPECT_LE(ThreadCount() - built, config.num_transfer_threads);
 }
 
 // Parallel copy correctness across sizes and thread counts.

@@ -233,6 +233,28 @@ TEST_F(GlobalPlacementTest, PrefersNodeHoldingLargeInput) {
   }
 }
 
+TEST_F(GlobalPlacementTest, PrefersNodeHoldingLargerOfTwoInputs) {
+  // Each idle node holds one input: the task must go where less data has to
+  // move, whichever order the inputs are listed in.
+  ObjectId small = ObjectId::FromRandom();
+  ObjectId large = ObjectId::FromRandom();
+  stores_[0]->Put(small, std::make_shared<Buffer>(1 << 20));
+  stores_[1]->Put(large, std::make_shared<Buffer>(50 << 20));
+  schedulers_[0]->ReportHeartbeat();
+  schedulers_[1]->ReportHeartbeat();
+
+  for (bool large_first : {false, true}) {
+    TaskSpec spec = MakeTask();
+    spec.args.push_back(TaskArg::ByRef(large_first ? large : small));
+    spec.args.push_back(TaskArg::ByRef(large_first ? small : large));
+    for (int trial = 0; trial < 5; ++trial) {
+      auto placed = global_->replica(0).Place(spec);
+      ASSERT_TRUE(placed.ok());
+      EXPECT_EQ(*placed, schedulers_[1]->node()) << "large_first=" << large_first;
+    }
+  }
+}
+
 TEST_F(GlobalPlacementTest, LoadBalancesWithoutLocality) {
   schedulers_[0]->ReportHeartbeat();
   schedulers_[1]->ReportHeartbeat();
