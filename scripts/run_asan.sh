@@ -8,7 +8,7 @@ cd "$(dirname "$0")/.."
 cmake --preset asan >/dev/null
 cmake --build --preset asan -j"$(nproc)" \
   --target common_test fiber_test gcs_test pubsub_test scheduler_test net_objectstore_test \
-  pull_manager_test trace_test lease_test chaos_test serving_test dst_test
+  pull_manager_test trace_test lease_test lineage_buffer_test chaos_test serving_test dst_test
 
 export ASAN_OPTIONS="detect_leaks=1:halt_on_error=1"
 export UBSAN_OPTIONS="print_stacktrace=1:halt_on_error=1"
@@ -24,6 +24,9 @@ done
 # src/gcs/monitor.cc.
 echo "== ASan/UBSan: lease_test =="
 ./build-asan/tests/lease_test
+
+echo "== ASan/UBSan: lineage_buffer_test =="
+./build-asan/tests/lineage_buffer_test
 
 echo "== ASan/UBSan: chaos_test =="
 ./build-asan/tests/chaos_test

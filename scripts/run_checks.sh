@@ -19,24 +19,32 @@
 #      (`[.>]field =` in a file other than the declaring header), so it can
 #      pass a field that shares its name with another struct's assigned
 #      field, but it never fails a field that has a caller.
-#   5. Clang thread-safety analysis: build the tidy preset with
+#   5. Lineage gate: in src/ outside src/gcs/, only
+#      src/runtime/lineage_buffer.cc calls the Task, Object and Actor tables'
+#      lineage writers (AddTask, RecordCreatingTask, AppendMethod,
+#      RegisterActor, and their ...Async forms). Every submission records
+#      once, through the submitting node's LineageBuffer, which is what
+#      orders a task's outputs after its lineage; a second writer would be
+#      an unordered second copy. The match is on the table receivers
+#      (`tasks`, `objects`, `actors`), so TaskGraph::AddTask passes.
+#   6. Clang thread-safety analysis: build the tidy preset with
 #      -Wthread-safety -Wthread-safety-beta as errors. Loud skip when clang
 #      is not installed (gcc-only containers).
-#   6. clang-tidy lint (scripts/run_lint.sh; loud skip without clang-tidy).
-#   7. Lockdep soak: debug build (NDEBUG unset => runtime lock-order checker
+#   7. clang-tidy lint (scripts/run_lint.sh; loud skip without clang-tidy).
+#   8. Lockdep soak: debug build (NDEBUG unset => runtime lock-order checker
 #      compiled in), full ctest suite plus the seeded chaos soak. Any cycle
 #      in the lock-order graph aborts with both acquisition stacks.
 #
 # Usage: run_checks.sh [quick]
-#   quick — grep gates only (checks 1-4); used by run_tier1.sh so every CI
+#   quick — grep gates only (checks 1-5); used by run_tier1.sh so every CI
 #   run enforces the annotation discipline even without clang or a debug
-#   build. The full seven-gate run is the pre-merge bar.
+#   build. The full eight-gate run is the pre-merge bar.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 MODE="${1:-full}"
 
-echo "== check 1/7: raw sync primitives outside common/sync.h =="
+echo "== check 1/8: raw sync primitives outside common/sync.h =="
 # Strip // comments before matching so prose mentioning std::mutex (e.g. the
 # layout notes in lockdep.h) doesn't trip the gate.
 raw_hits=$(grep -rnE 'std::(mutex|shared_mutex|lock_guard|unique_lock|shared_lock|condition_variable(_any)?)' \
@@ -52,7 +60,7 @@ if [[ -n "$raw_hits" ]]; then
 fi
 echo "OK: all locking goes through ray::Mutex / ray::SharedMutex"
 
-echo "== check 2/7: NO_THREAD_SAFETY_ANALYSIS budget =="
+echo "== check 2/8: NO_THREAD_SAFETY_ANALYSIS budget =="
 nts_hits=$(grep -rn 'NO_THREAD_SAFETY_ANALYSIS' src/ --include='*.h' --include='*.cc' \
   | grep -v '^src/common/sync\.h:' || true)
 nts_count=$(printf '%s' "$nts_hits" | grep -c . || true)
@@ -72,7 +80,7 @@ while IFS=: read -r file line _; do
 done <<< "$nts_hits"
 echo "OK: $nts_count/5 escape hatches, all justified"
 
-echo "== check 3/7: raw time / randomness primitives outside src/common/ =="
+echo "== check 3/8: raw time / randomness primitives outside src/common/ =="
 # Everything that observes wall-clock time, sleeps, or draws entropy must go
 # through the hookable seams in src/common/ (clock.h NowMicros/SleepMicros,
 # random.h Rng) so deterministic-schedule testing (common/dst.h) can virtualise
@@ -111,7 +119,7 @@ if [[ -n "$spin_hits" ]]; then
 fi
 echo "OK: all time and entropy flows through the hookable seams in src/common/, no spin waits"
 
-echo "== check 4/7: every runtime option has a caller =="
+echo "== check 4/8: every runtime option has a caller =="
 # Prints `header: Struct::field` for each field nobody assigns; the last line
 # is the count of settable values.
 option_report=$(perl - <<'PERL'
@@ -166,12 +174,26 @@ if [[ -n "$option_unset" ]]; then
 fi
 echo "OK: $option_summary"
 
+echo "== check 5/8: one lineage writer =="
+lineage_hits=$(grep -rnE '\b(tasks|objects|actors)\s*(\.|->)\s*(AddTask|RecordCreatingTask|AppendMethod|RegisterActor)(Async)?\s*\(' \
+  src/ --include='*.h' --include='*.cc' \
+  | grep -v '^src/gcs/' \
+  | grep -v '^src/runtime/lineage_buffer\.cc:' \
+  | grep -vE ':[0-9]+:\s*//' || true)
+if [[ -n "$lineage_hits" ]]; then
+  echo "FAIL: lineage written outside src/runtime/lineage_buffer.cc:" >&2
+  echo "$lineage_hits" >&2
+  echo "Submit through Cluster::SubmitTask, which records through the submitting node's LineageBuffer." >&2
+  exit 1
+fi
+echo "OK: lineage is written only by LineageBuffer"
+
 if [[ "$MODE" == "quick" ]]; then
   echo "run_checks: quick mode — grep gates passed (run without 'quick' for the full bar)"
   exit 0
 fi
 
-echo "== check 5/7: clang thread-safety analysis (tidy preset) =="
+echo "== check 6/8: clang thread-safety analysis (tidy preset) =="
 if command -v clang++ >/dev/null 2>&1; then
   cmake --preset tidy >/dev/null
   cmake --build --preset tidy -j"$(nproc)"
@@ -181,10 +203,10 @@ else
   echo "Install LLVM (clang) to verify GUARDED_BY/REQUIRES annotations compile-time." >&2
 fi
 
-echo "== check 6/7: clang-tidy lint =="
+echo "== check 7/8: clang-tidy lint =="
 ./scripts/run_lint.sh
 
-echo "== check 7/7: lockdep soak (debug build) =="
+echo "== check 8/8: lockdep soak (debug build) =="
 cmake --preset debug >/dev/null
 cmake --build --preset debug -j"$(nproc)"
 ctest --test-dir build-debug --output-on-failure -j"$(nproc)"

@@ -11,6 +11,7 @@
 #   pull_manager_test    - async pull dedup, chunk pipeline, mid-pull failover
 #   trace_test           - lock-free trace rings, pause handshake vs snapshot
 #   lease_test           - direct transport: lease grant/revoke races, async lineage
+#   lineage_buffer_test  - the one lineage writer: record, durability hooks, submit rounds
 #   chaos_test           - chaos soak: detector + recovery under seeded faults
 #   serving_test         - serving router event loop, admission atomics, autoscaler
 set -euo pipefail
@@ -19,7 +20,7 @@ cd "$(dirname "$0")/.."
 cmake --preset tsan >/dev/null
 cmake --build --preset tsan -j"$(nproc)" \
   --target common_test fiber_test gcs_test pubsub_test scheduler_test net_objectstore_test \
-  pull_manager_test trace_test lease_test chaos_test serving_test dst_test
+  pull_manager_test trace_test lease_test lineage_buffer_test chaos_test serving_test dst_test
 
 export TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1"
 for t in common_test fiber_test gcs_test pubsub_test scheduler_test net_objectstore_test \
@@ -34,6 +35,9 @@ done
 # src/gcs/monitor.cc.
 echo "== TSan: lease_test =="
 ./build-tsan/tests/lease_test
+
+echo "== TSan: lineage_buffer_test =="
+./build-tsan/tests/lineage_buffer_test
 
 echo "== TSan: chaos_test =="
 ./build-tsan/tests/chaos_test

@@ -17,6 +17,7 @@ std::string ActorSpecKey(const ActorId& actor) { return "actor:spec:" + actor.Bi
 std::string ActorLocKey(const ActorId& actor) { return "actor:loc:" + actor.Binary(); }
 std::string ActorCkptKey(const ActorId& actor) { return "actor:ckpt:" + actor.Binary(); }
 std::string ActorSeqKey(const ActorId& actor) { return "actor:seq:" + actor.Binary(); }
+std::string ActorLogKey(const ActorId& actor) { return "actor:log:" + actor.Binary(); }
 std::string HeartbeatKey(const NodeId& node) { return "hb:" + node.Binary(); }
 std::string FunctionKey(const FunctionId& fn) { return "fn:" + fn.Binary(); }
 constexpr const char* kNodesKey = "nodes";
@@ -90,10 +91,6 @@ void ObjectTable::UnsubscribeLocations(const ObjectId& object, uint64_t token) {
   gcs_->Unsubscribe(ObjLocKey(object), token);
 }
 
-Status ObjectTable::RecordCreatingTask(const ObjectId& object, const TaskId& task) {
-  return gcs_->Put(ObjTaskKey(object), task.Binary());
-}
-
 void ObjectTable::RecordCreatingTaskAsync(const ObjectId& object, const TaskId& task,
                                           Gcs::WriteCallback done) {
   gcs_->PutAsync(ObjTaskKey(object), task.Binary(), std::move(done));
@@ -150,8 +147,9 @@ Result<std::pair<TaskState, NodeId>> TaskTable::GetState(const TaskId& task) con
 
 // --- ActorTable ---
 
-Status ActorTable::RegisterActor(const ActorId& actor, const std::string& creation_spec_bytes) {
-  return gcs_->Put(ActorSpecKey(actor), creation_spec_bytes);
+void ActorTable::RegisterActorAsync(const ActorId& actor, const std::string& creation_spec_bytes,
+                                    Gcs::WriteCallback done) {
+  gcs_->PutAsync(ActorSpecKey(actor), creation_spec_bytes, std::move(done));
 }
 
 Result<std::string> ActorTable::GetCreationSpec(const ActorId& actor) const {
@@ -196,12 +194,13 @@ uint64_t ActorTable::CurrentCallIndex(const ActorId& actor) const {
   return value;
 }
 
-Status ActorTable::AppendMethod(const ActorId& actor, const TaskId& task) {
-  return gcs_->Append("actor:log:" + actor.Binary(), task.Binary());
+void ActorTable::AppendMethodAsync(const ActorId& actor, const TaskId& task,
+                                   Gcs::WriteCallback done) {
+  gcs_->AppendAsync(ActorLogKey(actor), task.Binary(), std::move(done));
 }
 
 Result<std::vector<TaskId>> ActorTable::GetMethodLog(const ActorId& actor) const {
-  auto records = gcs_->GetList("actor:log:" + actor.Binary());
+  auto records = gcs_->GetList(ActorLogKey(actor));
   if (!records.ok()) {
     return records.status();
   }

@@ -48,8 +48,7 @@ class ObjectTable {
                               std::function<void(const ObjectId&, const NodeId&)> callback);
   void UnsubscribeLocations(const ObjectId& object, uint64_t token);
 
-  Status RecordCreatingTask(const ObjectId& object, const TaskId& task);
-  // Async variant for the lineage buffer: returns immediately, `done(status)`
+  // Written by the lineage buffer only: returns immediately, `done(status)`
   // runs once the record is durable (see Gcs::PutAsync for callback context).
   void RecordCreatingTaskAsync(const ObjectId& object, const TaskId& task,
                                Gcs::WriteCallback done);
@@ -93,7 +92,10 @@ class ActorTable {
  public:
   explicit ActorTable(Gcs* gcs) : gcs_(gcs) {}
 
-  Status RegisterActor(const ActorId& actor, const std::string& creation_spec_bytes);
+  // Written by the lineage buffer only (see Gcs::PutAsync for callback
+  // context), like AppendMethodAsync below.
+  void RegisterActorAsync(const ActorId& actor, const std::string& creation_spec_bytes,
+                          Gcs::WriteCallback done);
   Result<std::string> GetCreationSpec(const ActorId& actor) const;
 
   Status SetLocation(const ActorId& actor, const NodeId& node);
@@ -111,7 +113,7 @@ class ActorTable {
 
   // Ordered log of method-invocation task ids, appended at submission time;
   // replayed (from the last checkpoint) to reconstruct a lost actor.
-  Status AppendMethod(const ActorId& actor, const TaskId& task);
+  void AppendMethodAsync(const ActorId& actor, const TaskId& task, Gcs::WriteCallback done);
   Result<std::vector<TaskId>> GetMethodLog(const ActorId& actor) const;
 
   // Checkpoint: serialized actor state after `call_index` methods.

@@ -54,11 +54,10 @@ void Ray::ReportWorkerBlocked() {
   // If this thread is draining a lease pipeline, revoke the lease and
   // re-route everything queued behind us — it may be the very tasks we are
   // about to block on (nested ray.get would deadlock a serial pipeline).
+  // They were recorded when submitted from this node, so they are routed,
+  // not submitted again.
   for (TaskSpec& spec : self->scheduler().NotifyWorkerBlocked()) {
-    // The spilled task may now execute remotely, where the executor cannot
-    // consult this node's lineage buffer; flush its record through first.
-    self->transport().lineage().WaitTaskDurable(spec.id);
-    Status s = cluster_->SubmitTask(spec, ctx->node);
+    Status s = cluster_->RouteTask(spec, *self);
     if (!s.ok()) {
       RAY_LOG(WARNING) << "re-routing task " << ToShortString(spec.id)
                        << " spilled from a blocked lease failed: " << s.ToString();
@@ -188,9 +187,6 @@ ActorHandle Ray::CreateActorSpread(const std::string& class_name, const std::str
   if (ctx != nullptr && ctx->cluster == cluster_) {
     spec.parent = ctx->current_task;
   }
-  // The creation spec is durable so the actor can be re-created after a
-  // failure (Section 4.2.3: lineage covers stateful actors too).
-  cluster_->tables().actors.RegisterActor(spec.actor, spec.Serialize());
   Status s = cluster_->SubmitTask(spec, SubmitterNode());
   RAY_CHECK(s.ok()) << "actor creation failed: " << s.ToString();
   return ActorHandle(cluster_, home_, spec.actor, class_name, spec.ReturnId(0));

@@ -202,43 +202,39 @@ uint64_t Cluster::WaitForClusterEvent(uint64_t seen, int64_t max_wait_us) {
   return event_epoch_;
 }
 
-void Cluster::RecordLineage(const TaskSpec& spec, const NodeId& submitter) {
-  tables_->tasks.AddTask(spec.id, spec.Serialize());
-  tables_->tasks.SetState(spec.id, gcs::TaskState::kPending, submitter);
+Status Cluster::SubmitTask(const TaskSpec& spec, const NodeId& from) {
+  // Covers the driver-side cost: the lineage record plus routing up to the
+  // point where the task is queued somewhere (a lease, local, global, or an
+  // actor mailbox).
+  trace::Span span(trace::Stage::kSubmit, spec.id, ObjectId(), from);
+  Node* submitter = FindNode(from);
+  if (submitter == nullptr) {
+    return Status::InvalidArgument("submitting node is not in this cluster");
+  }
+  // The one lineage writer: recorded before the task can run anywhere, with
+  // every write in flight at once.
+  submitter->transport().lineage().Record(spec, from);
   if (spec.IsActorCreation()) {
     MutexLock lock(known_actors_mu_);
     known_actors_.insert(spec.actor);
   }
-  for (uint32_t i = 0; i < spec.num_returns; ++i) {
-    tables_->objects.RecordCreatingTask(spec.ReturnId(i), spec.id);
-  }
-  if (spec.IsActorCreation() || (spec.IsActorTask() && !spec.actor_method_read_only)) {
-    tables_->objects.RecordCreatingTask(spec.ResultCursor(), spec.id);
-  }
-  if (spec.IsActorTask() && !spec.actor_method_read_only) {
-    tables_->actors.AppendMethod(spec.actor, spec.id);
-  }
   if (task_graph_) {
     task_graph_->AddTask(spec);
   }
-}
-
-Status Cluster::SubmitTask(const TaskSpec& spec, const NodeId& from) {
-  // Covers the driver-side cost: lineage writes plus routing up to the point
-  // where the task is queued somewhere (local, global, or actor mailbox).
-  trace::Span span(trace::Stage::kSubmit, spec.id, ObjectId(), from);
-  // Direct transport first: leases a worker and pipelines the task with
-  // async lineage, skipping both the per-task scheduler hop and the
-  // synchronous GCS writes below. Declines (actor task, non-local deps, no
-  // lease) fall through to the classic routed path.
-  Node* submitter = FindNode(from);
-  if (submitter != nullptr && submitter->IsAlive() && submitter->transport().TrySubmit(spec)) {
-    if (task_graph_) {
-      task_graph_->AddTask(spec);
-    }
+  // Direct transport first: a leased worker completes the task once its
+  // record is durable, so the submitter does not wait. Declines (actor task,
+  // non-local deps, no lease) take the classic routed path.
+  if (submitter->IsAlive() && submitter->transport().TrySubmit(spec)) {
     return Status::Ok();
   }
-  RecordLineage(spec, from);
+  return RouteTask(spec, *submitter);
+}
+
+Status Cluster::RouteTask(const TaskSpec& spec, Node& submitter) {
+  // The task may now execute on another node, whose executor cannot consult
+  // the submitter's lineage buffer.
+  submitter.transport().lineage().WaitTaskDurable(spec.id);
+  const NodeId& from = submitter.id();
   if (spec.IsActorTask()) {
     return RouteActorTask(spec, from);
   }

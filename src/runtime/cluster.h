@@ -95,10 +95,16 @@ class Cluster {
   }
 
   // --- submission (used by the Ray API facade) ---
-  // Records lineage (spec + creating-task entries) and routes the task:
-  // plain tasks go bottom-up via `from`'s local scheduler; actor methods are
-  // routed to the actor's node, recovering the actor first if its node died.
+  // Records the task's lineage once, asynchronously, through `from`'s
+  // LineageBuffer, then offers it to `from`'s direct transport. A task the
+  // lease declines goes to RouteTask.
   Status SubmitTask(const TaskSpec& spec, const NodeId& from);
+  // The dispatch half of SubmitTask, for a task already recorded at
+  // `submitter`: waits until that record is durable, then routes the task.
+  // Plain tasks go bottom-up via the submitter's local scheduler; actor
+  // methods are routed to the actor's node, recovering the actor first if its
+  // node died. Records nothing.
+  Status RouteTask(const TaskSpec& spec, Node& submitter);
 
   // --- fault tolerance ---
   // Re-executes the lineage needed to reproduce `object` (idempotent; safe
@@ -135,7 +141,6 @@ class Cluster {
   // Routes an actor method to the actor's current node, blocking until the
   // actor has a live location (it may still be being created or recovered).
   Status RouteActorTask(const TaskSpec& spec, const NodeId& from);
-  void RecordLineage(const TaskSpec& spec, const NodeId& submitter);
 
   // Death-callback fan-out (runs on a GCS publish worker, so everything it
   // does is a cheap enqueue): nudge every surviving node's store/scheduler

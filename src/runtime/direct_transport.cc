@@ -84,25 +84,14 @@ bool DirectTaskTransport::TrySubmit(const TaskSpec& spec) {
     }
   }
   auto lease = LeaseFor(EffectiveDemand(spec));
-  if (lease == nullptr) {
-    fallbacks_.fetch_add(1, std::memory_order_relaxed);
-    return false;
-  }
-  // Lineage first: recorded (asynchronously) before the task can possibly
-  // run. The executor commits kDone and seals outputs only from a
-  // WhenTaskDurable hook, which is what makes the async write safe.
-  uint64_t seq = lineage_.Record(spec, node_);
-  {
+  if (lease != nullptr) {
     trace::Span span(trace::Stage::kDirectSubmit, spec.id, ObjectId(), node_);
     if (scheduler_->SubmitOnLease(lease, spec)) {
       direct_submits_.fetch_add(1, std::memory_order_relaxed);
       return true;
     }
   }
-  // The lease went bad (revoked or at depth) after lineage was recorded.
-  // Flush this record through before handing the task to the routed path:
-  // it may execute on a remote node that cannot consult this buffer.
-  lineage_.WaitDurable(seq);
+  // No grantable lease, or it went bad (revoked or at depth).
   fallbacks_.fetch_add(1, std::memory_order_relaxed);
   return false;
 }

@@ -1,13 +1,15 @@
 // Direct task transport: the steady-state submit path that keeps the
-// scheduler and the GCS off the per-task critical path. A caller-side
-// transport (one per node) leases workers from its local scheduler by
-// resource shape, then pipelines dependency-satisfied plain tasks straight
-// into the leased worker's queue — no per-task scheduler hop, no synchronous
-// lineage round (lineage goes through the LineageBuffer). Anything the fast
-// path cannot take — actor tasks, tasks with non-local inputs, no grantable
-// lease, a lease at max depth — falls back to the classic routed path, which
-// is also how submission spills back to the global scheduler when this node
-// is saturated.
+// scheduler off the per-task critical path. A caller-side transport (one per
+// node) leases workers from its local scheduler by resource shape, then
+// pipelines dependency-satisfied plain tasks straight into the leased
+// worker's queue — no per-task scheduler hop and no wait on the GCS. Every
+// task is recorded in this node's LineageBuffer before it is offered here,
+// and an executor on the lease completes it only once the record is
+// durable. Anything the fast path cannot take — actor tasks, tasks with
+// non-local inputs, no grantable lease, a lease at max depth — falls back to
+// the classic routed path, which waits on that same record first (the task
+// may run on another node) and is also how submission spills back to the
+// global scheduler when this node is saturated.
 //
 // Leases are cached per shape and renewed by use; the pool grows (up to the
 // node's CPU count) while every cached lease is busy, so pipelining provides
@@ -42,9 +44,9 @@ class DirectTaskTransport {
   DirectTaskTransport(const DirectTaskTransport&) = delete;
   DirectTaskTransport& operator=(const DirectTaskTransport&) = delete;
 
-  // Fast path: records lineage asynchronously and pipelines the task onto a
-  // leased worker. False means the transport did nothing — the caller must
-  // submit through the classic routed path (which records lineage itself).
+  // Fast path: pipelines a task already recorded in lineage() onto a leased
+  // worker. False means the transport did nothing — the caller must route
+  // the task classically, once its record is durable.
   bool TrySubmit(const TaskSpec& spec);
 
   // Returns all cached leases and refuses further TrySubmits. Called on
@@ -53,8 +55,9 @@ class DirectTaskTransport {
 
   uint64_t NumDirectSubmits() const { return direct_submits_.load(std::memory_order_relaxed); }
   uint64_t NumFallbacks() const { return fallbacks_.load(std::memory_order_relaxed); }
-  // Durability gate for this node: executors complete tasks through its
-  // WhenTaskDurable hook, and a task re-routed off this node waits on
+  // This node's lineage writer and durability gate: every task submitted
+  // from this node is recorded here, executors complete tasks through its
+  // WhenTaskDurable hook, and a task routed off the lease path waits on
   // WaitTaskDurable first (a remote executor cannot consult this buffer).
   LineageBuffer& lineage() { return lineage_; }
 

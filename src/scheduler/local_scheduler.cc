@@ -183,16 +183,24 @@ Status LocalScheduler::Submit(const TaskSpec& spec) {
   return global_->Schedule(spec, node_);
 }
 
-void LocalScheduler::SubmitPlaced(const TaskSpec& spec) { Enqueue(spec); }
+void LocalScheduler::SubmitPlaced(const TaskSpec& spec) {
+  // Track which node holds the task; reconstruction uses this to tell
+  // in-flight tasks from ones lost with a dead node's queue. A task
+  // submitted bottom-up needs no write: its lineage record names this node.
+  tables_->tasks.SetState(spec.id, gcs::TaskState::kPending, node_);
+  Enqueue(spec);
+}
 
 void LocalScheduler::Enqueue(const TaskSpec& spec) {
-  // Track which node holds the task; reconstruction uses this to tell
-  // in-flight tasks from ones lost with a dead node's queue.
-  tables_->tasks.SetState(spec.id, gcs::TaskState::kPending, node_);
   std::vector<ObjectId> to_fetch;
   bool ready_now = false;
   {
     TimedMutexLock lock(deps_mu_, ControlPlaneMetrics::Instance().deps_lock_wait_us);
+    if (waiting_.count(spec.id) > 0) {
+      // Delivered again while it waits (recovery replay racing a routing
+      // retry): it is already counted, indexed and fetching.
+      return;
+    }
     PendingTask pending{spec, {}, NowMicros()};
     for (const ObjectId& dep : spec.Dependencies()) {
       if (!store_->ContainsLocal(dep)) {
@@ -786,6 +794,15 @@ void LocalScheduler::HeartbeatLoop() {
     }
     ReportHeartbeat();
     ReapLeases();
+    if (num_waiting_.load(std::memory_order_relaxed) +
+            num_ready_.load(std::memory_order_relaxed) ==
+        0) {
+      // Every part of the rescue needs a waiting or a ready task, so an idle
+      // node does not wake its fetch pool; no ready task also means no
+      // pressure.
+      lease_pressure_since_us_.store(0, std::memory_order_relaxed);
+      continue;
+    }
     // Rescue runs off-thread: re-forwarding to the global scheduler can block
     // (it retries placement under churn), and a stalled heartbeat loop would
     // get this node falsely declared dead. Single-flight: skip the tick if

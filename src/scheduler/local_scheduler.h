@@ -140,10 +140,13 @@ class LocalScheduler {
   void Start(Executor executor, ActorDispatcher actor_dispatcher);
   void Shutdown();
 
-  // Bottom-up entry point for tasks created on this node.
+  // Bottom-up entry point for tasks created on this node. Writes no task
+  // state: the task's lineage record already names this node as holding it.
   Status Submit(const TaskSpec& spec);
   // Entry point for tasks placed here by the global scheduler or routed here
-  // because this node hosts the target actor; never spills.
+  // because this node hosts the target actor; never spills. Records in the
+  // Task Table that this node holds the task (kPending here), so
+  // reconstruction can tell it from one lost with a dead node's queue.
   void SubmitPlaced(const TaskSpec& spec);
 
   // --- direct task transport (worker leasing) ---

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <functional>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -408,6 +409,17 @@ TEST(GcsTest, AutoFlushCapsMemory) {
 class TablesTest : public ::testing::Test {
  protected:
   TablesTest() : gcs_(GcsConfig{}), tables_(&gcs_) {}
+
+  // Issues one async table write and blocks until it commits.
+  void Await(const std::function<void(Gcs::WriteCallback)>& write) {
+    Notification committed;
+    write([&](Status s) {
+      EXPECT_TRUE(s.ok()) << s.ToString();
+      committed.Notify();
+    });
+    committed.Wait();
+  }
+
   Gcs gcs_;
   GcsTables tables_;
 };
@@ -455,7 +467,7 @@ TEST_F(TablesTest, LocationSubscriptionFiresOnAdd) {
 TEST_F(TablesTest, CreatingTaskLink) {
   ObjectId obj = ObjectId::FromRandom();
   TaskId task = TaskId::FromRandom();
-  tables_.objects.RecordCreatingTask(obj, task);
+  Await([&](Gcs::WriteCallback done) { tables_.objects.RecordCreatingTaskAsync(obj, task, done); });
   EXPECT_EQ(*tables_.objects.GetCreatingTask(obj), task);
 }
 
@@ -474,15 +486,17 @@ TEST_F(TablesTest, TaskSpecAndState) {
 TEST_F(TablesTest, ActorLifecycleRecords) {
   ActorId actor = ActorId::FromRandom();
   NodeId node = NodeId::FromRandom();
-  tables_.actors.RegisterActor(actor, "creation-spec");
+  Await([&](Gcs::WriteCallback done) {
+    tables_.actors.RegisterActorAsync(actor, "creation-spec", done);
+  });
   tables_.actors.SetLocation(actor, node);
   EXPECT_EQ(*tables_.actors.GetLocation(actor), node);
   EXPECT_EQ(*tables_.actors.GetCreationSpec(actor), "creation-spec");
 
   TaskId m1 = TaskId::FromRandom();
   TaskId m2 = TaskId::FromRandom();
-  tables_.actors.AppendMethod(actor, m1);
-  tables_.actors.AppendMethod(actor, m2);
+  Await([&](Gcs::WriteCallback done) { tables_.actors.AppendMethodAsync(actor, m1, done); });
+  Await([&](Gcs::WriteCallback done) { tables_.actors.AppendMethodAsync(actor, m2, done); });
   auto log = tables_.actors.GetMethodLog(actor);
   ASSERT_TRUE(log.ok());
   EXPECT_EQ(*log, (std::vector<TaskId>{m1, m2}));

@@ -1,13 +1,17 @@
 // Unit tests for the scheduler layer, driving LocalScheduler/GlobalScheduler
 // directly (no runtime on top): bottom-up spillover, resource gating,
 // dependency-driven readiness, locality- and load-aware global placement,
-// and the availability tier for actor-held resources.
+// and the availability tier for actor-held resources. One cluster-level test
+// checks that an idle node's heartbeat starts no thread.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <fstream>
+#include <string>
 
 #include "common/clock.h"
 #include "common/sync.h"
+#include "runtime/cluster.h"
 #include "scheduler/global_scheduler.h"
 #include "scheduler/local_scheduler.h"
 
@@ -199,6 +203,26 @@ TEST_F(SchedulerFixture, ResourceGatingLimitsConcurrency) {
   scheduler->Shutdown();
 }
 
+TEST_F(SchedulerFixture, DuplicateDeliveryOfAWaitingTaskCountsOnce) {
+  // Recovery replay and a routing retry can both deliver one actor method
+  // while it waits for its cursor; the executor drops the second run, so the
+  // queue must hold the task once, or every later heartbeat reads one high.
+  TaskSpec producer = MakeTask();
+  TaskSpec consumer = MakeTask();
+  consumer.args.push_back(TaskArg::ByRef(producer.ReturnId(0)));
+  schedulers_[0]->SubmitPlaced(consumer);
+  schedulers_[0]->SubmitPlaced(consumer);
+  EXPECT_EQ(schedulers_[0]->QueueLength(), 1u);
+  ASSERT_TRUE(schedulers_[1]->Submit(producer).ok());
+  ASSERT_TRUE(WaitForExecuted(2));
+  int64_t deadline = NowMicros() + 5'000'000;
+  while (schedulers_[0]->QueueLength() > 0 && NowMicros() < deadline) {
+    SleepMicros(500);
+  }
+  EXPECT_EQ(schedulers_[0]->QueueLength(), 0u);
+  EXPECT_EQ(executed_.load(), 2u) << "the consumer ran twice";
+}
+
 TEST_F(SchedulerFixture, HeartbeatReflectsQueueAndResources) {
   exec_sleep_us_ = 50'000;
   schedulers_[0]->SubmitPlaced(MakeTask());
@@ -213,6 +237,36 @@ TEST_F(SchedulerFixture, HeartbeatReflectsQueueAndResources) {
 }
 
 // --- GlobalScheduler policy, tested via Place() ---
+
+// OS threads in this process (`Threads:` in /proc/self/status). The test
+// compares two readings, so threads a sanitizer runs for itself cancel out.
+int64_t ThreadCount() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("Threads:", 0) == 0) {
+      return std::stoll(line.substr(8));
+    }
+  }
+  ADD_FAILURE() << "no Threads: line in /proc/self/status";
+  return 0;
+}
+
+TEST(SchedulerIdleTest, IdleClusterStartsNoThreadAcrossTenHeartbeats) {
+  // perfbench tasks_small's nodes: one carrier and one fetch thread each. The
+  // heartbeat hands the stranded-task rescue to the fetch pool only when a
+  // task waits or is ready, so an idle node never starts (or wakes) it.
+  ClusterConfig config;
+  config.num_nodes = 4;
+  config.scheduler.total_resources = ResourceSet::Cpu(4);
+  config.scheduler.num_workers = 4;
+  config.scheduler.num_fiber_carriers = 1;
+  config.scheduler.num_fetch_threads = 1;
+  Cluster cluster(config);
+  int64_t built = ThreadCount();
+  SleepMicros(10 * config.scheduler.heartbeat_interval_us);
+  EXPECT_EQ(ThreadCount() - built, 0) << "an idle cluster started threads on its heartbeats";
+}
 
 class GlobalPlacementTest : public SchedulerFixture {};
 
