@@ -1,12 +1,13 @@
 #!/usr/bin/env bash
 # ThreadSanitizer gate for the concurrency-heavy test binaries. The control
 # plane leans on fine-grained locking (GCS batcher, sharded pub-sub, the
-# scheduler's two-lock split), so these three must stay TSan-clean:
+# scheduler's two-lock split), so every binary listed here must stay
+# TSan-clean:
 #   common_test          - queues, sync helpers, thread pool, shared buffer cache
 #   fiber_test           - fiber context switches, park/unpark permit races
 #   gcs_test             - batcher, chain replication, pub-sub tables
 #   pubsub_test          - subscribe/unsubscribe/publish churn, ordering
-#   scheduler_test       - submit -> dispatch handoff, rescue, work stealing
+#   scheduler_test       - submit -> dispatch handoff, spillover, heartbeats, placement
 #   net_objectstore_test - shared-mutex object store, sim network
 #   pull_manager_test    - async pull dedup, chunk pipeline, mid-pull failover
 #   trace_test           - lock-free trace rings, pause handshake vs snapshot
@@ -14,6 +15,7 @@
 #   lineage_buffer_test  - the one lineage writer: record, durability hooks, submit rounds
 #   chaos_test           - chaos soak: detector + recovery under seeded faults
 #   serving_test         - serving router event loop, admission atomics, autoscaler
+#   dst_test             - the deterministic schedule explorer's runtime (single seed)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

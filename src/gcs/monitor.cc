@@ -71,6 +71,16 @@ bool LivenessView::IsDead(const NodeId& node) const {
   return dead_.count(node) > 0;
 }
 
+bool LivenessView::AnyAlive(const std::vector<NodeId>& nodes) const {
+  ReaderMutexLock lock(mu_);
+  for (const NodeId& node : nodes) {
+    if (dead_.count(node) == 0) {
+      return true;
+    }
+  }
+  return false;
+}
+
 void LivenessView::OnMembership(const NodeId& node, bool alive) {
   bool newly_dead = false;
   {

@@ -35,6 +35,7 @@
 #include <thread>
 #include <unordered_map>
 #include <unordered_set>
+#include <vector>
 
 #include "common/id.h"
 #include "common/sync.h"
@@ -64,6 +65,9 @@ class LivenessView {
   // cache — is the authority that turns silence into death.
   bool IsDead(const NodeId& node) const;
   bool IsAlive(const NodeId& node) const { return !IsDead(node); }
+  // Whether any of `nodes` (an Object Table entry's locations) is alive:
+  // one shared-lock acquisition for the whole list.
+  bool AnyAlive(const std::vector<NodeId>& nodes) const;
 
   uint64_t AddDeathCallback(DeathCallback callback);
   void RemoveDeathCallback(uint64_t token);

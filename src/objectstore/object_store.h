@@ -31,22 +31,19 @@ namespace ray {
 
 class PullManager;
 
-// Sentinel for ObjectStoreConfig::pull_chunk_bytes: size chunks from the
-// measured bandwidth-delay product instead of a fixed constant.
-inline constexpr size_t kAutoChunkBytes = static_cast<size_t>(-1);
-
 struct ObjectStoreConfig {
   size_t capacity_bytes = 4ULL << 30;
   int num_transfer_threads = 8;
   // Objects at or above this size are copied by multiple transfer threads.
   size_t parallel_copy_threshold = 512 * 1024;
-  // Chunk size for the pipelined pull path. kAutoChunkBytes (the default)
-  // derives it from measured per-chunk bandwidth and latency EMAs — the
-  // chunk is a multiple of the bandwidth-delay product, so transfer time
-  // dominates per-chunk setup latency without bloating failover restarts.
-  // 0 = monolithic single-chunk pulls (the pre-refactor behavior, kept for
-  // the bench ablation); anything else is a fixed size.
-  size_t pull_chunk_bytes = kAutoChunkBytes;
+  // Chunk size for the pipelined pull path; 0 = one transfer per pull (the
+  // bench ablation). An object up to this size moves as one transfer; a
+  // larger one overlaps each chunk's copy with the next chunk's wire time,
+  // and a failover resumes at the failed chunk. Pipelining pays only when
+  // that copy is a large share of the wire time and no other pull shares
+  // the NIC (DESIGN.md "Data plane"), so the default keeps every object of
+  // up to 64 MiB in one transfer.
+  size_t pull_chunk_bytes = 64ull << 20;
 };
 
 class ObjectStore {

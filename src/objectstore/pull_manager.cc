@@ -1,6 +1,7 @@
 #include "objectstore/pull_manager.h"
 
 #include <algorithm>
+#include <cstdint>
 
 #include "common/clock.h"
 #include "common/logging.h"
@@ -8,6 +9,17 @@
 #include "trace/trace.h"
 
 namespace ray {
+namespace {
+
+// A chunk is copied in slices of at most this size. Copy threads faulting in
+// a fresh assembly buffer keep their cores busy until their copy ends, and
+// with as many copy threads as cores nothing else in the process runs
+// meanwhile: one 64 MiB copy by 8 threads held a 4-vCPU VM for ~30 ms, long
+// enough to miss a 5 ms heartbeat's whole detection window. Between slices
+// the cores go to whatever waited.
+constexpr size_t kCopySliceBytes = 8ull << 20;
+
+}  // namespace
 
 PullManager::PullManager(const NodeId& node, gcs::GcsTables* tables, SimNetwork* net,
                          ObjectStore* store, ThreadPool* copy_pool,
@@ -18,6 +30,7 @@ PullManager::PullManager(const NodeId& node, gcs::GcsTables* tables, SimNetwork*
       store_(store),
       copy_pool_(copy_pool),
       config_(config),
+      chunk_bytes_(config.pull_chunk_bytes == 0 ? SIZE_MAX : config.pull_chunk_bytes),
       num_streams_(std::max(1, config.num_transfer_threads)),
       liveness_(liveness) {
   loop_thread_ = std::thread([this] { Loop(); });
@@ -54,7 +67,7 @@ uint64_t PullManager::Pull(const ObjectId& id, Callback cb, const NodeId* prefer
     waiter_index_.emplace(token, id);
   }
   if (fresh) {
-    queue_.Push(Event{id, 0, Status::Ok(), /*start=*/true});
+    queue_.Push(Event::Start(id));
   }
   return token;
 }
@@ -134,10 +147,7 @@ void PullManager::AbortAll(const Status& status) {
 void PullManager::OnNodeDeath(const NodeId& node) {
   // Push on a closed queue is a safe no-op: after shutdown every in-flight
   // pull has already been failed by AbortAll.
-  Event ev;
-  ev.death = true;
-  ev.dead_node = node;
-  queue_.Push(std::move(ev));
+  queue_.Push(Event::Death(node));
 }
 
 void PullManager::Shutdown() {
@@ -177,7 +187,7 @@ void PullManager::Loop() {
     if (ev->epoch != e->current_epoch) {
       continue;  // chunk completion from a superseded transfer
     }
-    HandleChunkDone(e, ev->status, ev->done_us);
+    HandleChunkDone(e, ev->status);
   }
 }
 
@@ -245,11 +255,7 @@ bool PullManager::StartFromSource(const EntryPtr& e, Status* fail) {
       // CompleteEntry seals it. A failover resumes at the failed chunk,
       // which was never copied.
       e->assembly = std::make_shared<Buffer>(e->size);
-      e->chunk_bytes = ResolveChunkBytes(e->size);
-      e->num_chunks =
-          e->chunk_bytes == 0
-              ? 1
-              : std::max<size_t>(1, (e->size + e->chunk_bytes - 1) / e->chunk_bytes);
+      e->num_chunks = e->size == 0 ? 1 : (e->size - 1) / chunk_bytes_ + 1;
       inflight_bytes_.fetch_add(e->size, std::memory_order_relaxed);
       e->charged.store(true, std::memory_order_release);
     } else {
@@ -269,19 +275,15 @@ void PullManager::KickChunk(const EntryPtr& e) {
   if (e->aborted.load(std::memory_order_acquire)) {
     return;
   }
-  size_t chunk_bytes = e->chunk_bytes == 0 ? e->size : e->chunk_bytes;
-  size_t off = e->chunk * chunk_bytes;
-  size_t len = e->size > off ? std::min(chunk_bytes, e->size - off) : 0;
+  size_t off = e->chunk * chunk_bytes_;
+  size_t len = std::min(chunk_bytes_, e->size - off);
   int streams = len >= config_.parallel_copy_threshold ? num_streams_ : 1;
   uint64_t epoch = epoch_gen_.fetch_add(1, std::memory_order_relaxed) + 1;
   e->current_epoch = epoch;
-  e->chunk_sent_us = NowMicros();
   ObjectId id = e->id;
   uint64_t token = net_->TransferAsync(
       e->src, node_, len, streams, id,
-      [this, id, epoch](Status s) {
-        queue_.Push(Event{id, epoch, std::move(s), false, NowMicros()});
-      });
+      [this, id, epoch](Status s) { queue_.Push(Event::ChunkDone(id, epoch, std::move(s))); });
   e->net_token.store(token, std::memory_order_release);
   // A cancel that raced in between the aborted check above and the store may
   // have missed this token; re-check and release the wire ourselves.
@@ -308,7 +310,7 @@ void PullManager::HandleNodeDeath(const NodeId& node) {
       // Transfer was still pending: its completion callback will never fire,
       // so synthesize the failure here and fail over immediately — resuming
       // at the in-flight chunk.
-      HandleChunkDone(e, Status::NodeDead("source declared dead by failure detector"), NowMicros());
+      HandleChunkDone(e, Status::NodeDead("source declared dead by failure detector"));
     }
     // else: the completion already fired (its event is queued behind us);
     // the wire-level death check carried kNodeDead and the normal failover
@@ -316,7 +318,7 @@ void PullManager::HandleNodeDeath(const NodeId& node) {
   }
 }
 
-void PullManager::HandleChunkDone(const EntryPtr& e, const Status& status, int64_t done_us) {
+void PullManager::HandleChunkDone(const EntryPtr& e, const Status& status) {
   if (!status.ok()) {
     // Source (or we) died mid-transfer: fail over to another replica,
     // resuming at this chunk — never from byte zero.
@@ -335,91 +337,24 @@ void PullManager::HandleChunkDone(const EntryPtr& e, const Status& status, int64
   }
   chunks_transferred_.fetch_add(1, std::memory_order_relaxed);
   size_t done_chunk = e->chunk;
-  int64_t chunk_duration_us = done_us - e->chunk_sent_us;
   e->chunk++;
   if (e->chunk < e->num_chunks) {
     // Pipeline: next chunk goes on the wire before this one is copied.
     KickChunk(e);
   }
-  size_t chunk_bytes = e->chunk_bytes == 0 ? e->size : e->chunk_bytes;
-  size_t off = done_chunk * chunk_bytes;
-  size_t len = e->size > off ? std::min(chunk_bytes, e->size - off) : 0;
-  ObserveChunkTiming(e, len, chunk_duration_us);
+  size_t off = done_chunk * chunk_bytes_;
+  size_t len = std::min(chunk_bytes_, e->size - off);
   if (len > 0) {
     int threads = len >= config_.parallel_copy_threshold ? num_streams_ : 1;
     trace::Span span(trace::Stage::kChunkCopy, TaskId(), e->id, node_, e->src, len);
-    ParallelCopy(e->assembly->MutableData() + off, e->src_buffer->Data() + off, len, threads,
-                 *copy_pool_);
+    for (size_t done = 0; done < len; done += kCopySliceBytes) {
+      ParallelCopy(e->assembly->MutableData() + off + done, e->src_buffer->Data() + off + done,
+                   std::min(kCopySliceBytes, len - done), threads, *copy_pool_);
+    }
   }
   if (done_chunk + 1 == e->num_chunks && !e->aborted.load(std::memory_order_acquire)) {
     CompleteEntry(e, Status::Ok());
   }
-}
-
-namespace {
-// Two chunk sizes must differ by at least this much before the two-point fit
-// below divides by their difference; smaller gaps amplify timing noise.
-constexpr size_t kMinProbeLenDeltaBytes = 64 * 1024;
-// Starting point (and fallback) for autotuning before any chunk has been
-// measured.
-constexpr size_t kInitialChunkBytes = 8ull << 20;
-// Autotuned chunk = kBdpFactor x bandwidth x latency, clamped to
-// [kMinChunkBytes, kMaxChunkBytes].
-constexpr double kBdpFactor = 8.0;
-constexpr size_t kMinChunkBytes = 256 * 1024;
-constexpr size_t kMaxChunkBytes = 64ull << 20;
-}  // namespace
-
-size_t PullManager::ResolveChunkBytes(uint64_t size) const {
-  if (config_.pull_chunk_bytes != kAutoChunkBytes) {
-    return config_.pull_chunk_bytes;  // fixed (0 = monolithic)
-  }
-  if (!bandwidth_ema_.HasValue() || !chunk_latency_ema_.HasValue()) {
-    return kInitialChunkBytes;  // nothing measured yet
-  }
-  // Bandwidth-delay product: the chunk must keep the wire busy long enough
-  // that per-chunk setup latency amortizes away. kBdpFactor x BDP puts the
-  // serialization time at roughly kBdpFactor latencies.
-  double bdp = bandwidth_ema_.Value() * (chunk_latency_ema_.Value() * 1e-6);
-  auto chunk = static_cast<size_t>(kBdpFactor * bdp);
-  return std::min(kMaxChunkBytes, std::max(kMinChunkBytes, chunk));
-}
-
-size_t PullManager::CurrentChunkBytes() const { return ResolveChunkBytes(0); }
-
-void PullManager::ObserveChunkTiming(const EntryPtr& e, size_t len, int64_t duration_us) {
-  if (config_.pull_chunk_bytes != kAutoChunkBytes || duration_us <= 0 || len == 0) {
-    return;
-  }
-  // A single chunk size cannot separate latency from bandwidth. Each entry
-  // keeps one probe point (its full chunk size, minimum duration seen — the
-  // minimum sheds queueing noise); when a chunk of a sufficiently different
-  // size completes (normally the final partial chunk), the two points solve
-  //   duration = latency + len / bandwidth
-  // exactly, and the solution feeds the EMAs.
-  if (e->probe_len == 0 || e->probe_len == len) {
-    if (e->probe_len == 0 || duration_us < e->probe_dur_us) {
-      e->probe_len = len;
-      e->probe_dur_us = duration_us;
-    }
-    return;
-  }
-  double dlen = static_cast<double>(e->probe_len) - static_cast<double>(len);
-  if (dlen < 0) {
-    dlen = -dlen;
-  }
-  if (dlen < kMinProbeLenDeltaBytes) {
-    return;
-  }
-  double us_per_byte = (static_cast<double>(e->probe_dur_us) - static_cast<double>(duration_us)) /
-                       (static_cast<double>(e->probe_len) - static_cast<double>(len));
-  if (us_per_byte <= 0) {
-    return;  // noise inverted the slope; skip the sample
-  }
-  double latency_us = std::max(
-      1.0, static_cast<double>(duration_us) - static_cast<double>(len) * us_per_byte);
-  bandwidth_ema_.Observe(1e6 / us_per_byte);
-  chunk_latency_ema_.Observe(latency_us);
 }
 
 void PullManager::CompleteEntry(const EntryPtr& e, Status status) {

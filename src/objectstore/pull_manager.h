@@ -5,10 +5,10 @@
 //   * In-flight dedup: concurrent pulls of one object collapse into a single
 //     entry with a waiter list — one set of bytes on the wire, one NIC
 //     reservation, N callbacks on completion.
-//   * Chunk pipelining: large objects are split into fixed-size chunks; while
-//     chunk i+1 is on the (simulated) wire, chunk i is being memcpy'd into
-//     the assembly buffer, overlapping transfer with copy the way the paper
-//     stripes objects across streams.
+//   * Chunk pipelining: objects larger than the configured chunk size are
+//     split into fixed-size chunks; while chunk i+1 is on the (simulated)
+//     wire, chunk i is being memcpy'd into the assembly buffer, overlapping
+//     transfer with copy.
 //   * Mid-transfer failover: when the source node dies, the pull retries the
 //     surviving replicas *resuming at the failed chunk* — chunks already
 //     assembled are kept (objects are immutable, so replicas are
@@ -34,7 +34,6 @@
 
 #include "common/buffer.h"
 #include "common/id.h"
-#include "common/metrics.h"
 #include "common/queue.h"
 #include "common/status.h"
 #include "common/sync.h"
@@ -54,9 +53,11 @@ class PullManager {
   // pull-loop thread — must not block for long; enqueue heavy work elsewhere.
   using Callback = std::function<void(Status)>;
 
-  // `config` is the owning store's: the pull manager reads its chunk size
-  // (pull_chunk_bytes), its stream count (num_transfer_threads) and
-  // parallel_copy_threshold. `liveness` is the detector-backed view used to
+  // `config` is the owning store's: the pull manager reads its fixed chunk
+  // size (pull_chunk_bytes; 0 = one transfer per pull), its stream count
+  // (num_transfer_threads) and parallel_copy_threshold. Every pull splits
+  // its object at the same offsets, so a failover resumes at the failed
+  // chunk. `liveness` is the detector-backed view used to
   // filter pull sources; null (standalone stores in tests) means
   // assume-alive — wire failures still drive failover, just without the
   // proactive skip.
@@ -104,9 +105,6 @@ class PullManager {
   // Bytes held in chunk-assembly buffers right now — outside the store's
   // capacity accounting and invisible to eviction by construction.
   size_t InflightBytes() const { return inflight_bytes_.load(std::memory_order_relaxed); }
-  // The chunk size a pull starting right now would use (fixed, or the
-  // current autotuned bandwidth-delay estimate).
-  size_t CurrentChunkBytes() const;
 
  private:
   struct Waiter {
@@ -121,15 +119,6 @@ class PullManager {
     NodeId preferred;
     bool started = false;
     uint64_t size = 0;
-    // Resolved at assembly creation and frozen for the entry's lifetime, so
-    // chunk offsets stay stable across failover even while autotuning moves.
-    size_t chunk_bytes = 0;
-    int64_t chunk_sent_us = 0;  // when the in-flight chunk hit the wire
-    // Timing probe for autotune: the first observed chunk size and its best
-    // (minimum) duration. A later chunk of a different size — usually the
-    // final partial one — pairs with it for a two-point latency/bandwidth fit.
-    size_t probe_len = 0;
-    int64_t probe_dur_us = 0;
     std::shared_ptr<Buffer> assembly;  // skipped by store eviction: lives here
     BufferPtr src_buffer;              // pinned replica bytes on the source
     NodeId src;
@@ -149,22 +138,33 @@ class PullManager {
   };
   using EntryPtr = std::shared_ptr<Entry>;
   struct Event {
+    // Start the pull registered under `id`.
+    static Event Start(const ObjectId& id) {
+      return {.id = id, .epoch = 0, .status = Status::Ok(), .start = true, .death = false,
+              .dead_node = NodeId()};
+    }
+    // The transfer of `id`'s chunk kicked at `epoch` finished with `status`.
+    static Event ChunkDone(const ObjectId& id, uint64_t epoch, Status status) {
+      return {.id = id, .epoch = epoch, .status = std::move(status), .start = false,
+              .death = false, .dead_node = NodeId()};
+    }
+    // Every in-flight pull sourced from `node` fails over on the loop thread.
+    static Event Death(const NodeId& node) {
+      return {.id = ObjectId(), .epoch = 0, .status = Status::Ok(), .start = false,
+              .death = true, .dead_node = node};
+    }
+
     ObjectId id;
     uint64_t epoch = 0;
     Status status;
     bool start = false;
-    // When the network finished the chunk. The chunk's duration ends here,
-    // not when the loop, busy copying the previous chunk, gets to the event.
-    int64_t done_us = 0;
-    // Node-death notification (id is nil): every in-flight pull sourced from
-    // dead_node fails over on the loop thread.
     bool death = false;
     NodeId dead_node;
   };
 
   void Loop();
   void HandleStart(const EntryPtr& e);
-  void HandleChunkDone(const EntryPtr& e, const Status& status, int64_t done_us);
+  void HandleChunkDone(const EntryPtr& e, const Status& status);
   void HandleNodeDeath(const NodeId& node);
   // Picks the next live untried source and kicks the current chunk; returns
   // false (with `fail` set) when no source can serve the object.
@@ -172,11 +172,6 @@ class PullManager {
   void KickChunk(const EntryPtr& e);
   void CompleteEntry(const EntryPtr& e, Status status);
   void DispatchWaiters(std::vector<Waiter> waiters, const Status& status);
-  // Chunk size for an object of `size` starting now (fixed config value, or
-  // kBdpFactor x measured bandwidth-delay product, clamped).
-  size_t ResolveChunkBytes(uint64_t size) const;
-  // Feeds the bandwidth/latency EMAs from one completed chunk transfer.
-  void ObserveChunkTiming(const EntryPtr& e, size_t len, int64_t duration_us);
 
   NodeId node_;
   gcs::GcsTables* tables_;
@@ -184,6 +179,8 @@ class PullManager {
   ObjectStore* store_;
   ThreadPool* copy_pool_;
   ObjectStoreConfig config_;
+  // pull_chunk_bytes, with 0 (one transfer per pull) read as SIZE_MAX.
+  size_t chunk_bytes_;
   // Streams used per chunk at or above parallel_copy_threshold.
   int num_streams_;
   gcs::LivenessView* liveness_;  // may be null: assume-alive
@@ -205,12 +202,6 @@ class PullManager {
   std::atomic<uint64_t> failovers_{0};
   std::atomic<uint64_t> chunks_transferred_{0};
   std::atomic<size_t> inflight_bytes_{0};
-
-  // Measured wire characteristics (Ema is internally locked), fit from pairs
-  // of different-sized chunk transfers: duration = latency + len / bandwidth.
-  // Their product (the bandwidth-delay product) is the autotune input.
-  Ema bandwidth_ema_{0.2};
-  Ema chunk_latency_ema_{0.2};
 };
 
 }  // namespace ray

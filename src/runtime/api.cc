@@ -90,16 +90,7 @@ Result<BufferPtr> Ray::GetBuffer(const ObjectId& id, int64_t timeout_us) {
     // live replica exists anywhere and its producer is not in flight on a
     // healthy node, trigger lineage reconstruction (Section 4.2.3).
     auto entry = cluster_->tables().objects.GetLocations(id);
-    bool live_copy = false;
-    if (entry.ok()) {
-      for (const NodeId& loc : entry->locations) {
-        if (cluster_->liveness().IsAlive(loc)) {
-          live_copy = true;
-          break;
-        }
-      }
-    }
-    if (live_copy) {
+    if (entry.ok() && cluster_->liveness().AnyAlive(entry->locations)) {
       continue;  // a fetch will succeed shortly
     }
     auto task_id = cluster_->tables().objects.GetCreatingTask(id);
@@ -134,14 +125,7 @@ std::vector<size_t> Ray::Wait(const std::vector<ObjectId>& ids, size_t num_ready
       bool available = node->IsAlive() && node->store().ContainsLocal(ids[i]);
       if (!available) {
         auto entry = cluster_->tables().objects.GetLocations(ids[i]);
-        if (entry.ok()) {
-          for (const NodeId& loc : entry->locations) {
-            if (cluster_->liveness().IsAlive(loc)) {
-              available = true;
-              break;
-            }
-          }
-        }
+        available = entry.ok() && cluster_->liveness().AnyAlive(entry->locations);
       }
       if (available) {
         ready[i] = true;

@@ -365,12 +365,7 @@ void Cluster::ReconstructObject(const ObjectId& object) {
           // The location log exists: the output has been published at least
           // once. Resubmit only if every replica has since died or been
           // evicted (net list empty or all on dead nodes).
-          for (const NodeId& loc : entry->locations) {
-            if (liveness_->IsAlive(loc)) {
-              resubmit = false;
-              break;
-            }
-          }
+          resubmit = !liveness_->AnyAlive(entry->locations);
         } else if (node_alive) {
           // No location record at all. kDone commits before the first
           // location publish, so the task's completion chain is between
@@ -387,16 +382,7 @@ void Cluster::ReconstructObject(const ObjectId& object) {
     // nothing else in the system can notice that silently-lost ancestor.
     for (const ObjectId& dep : spec.Dependencies()) {
       auto entry = tables_->objects.GetLocations(dep);
-      bool live_copy = false;
-      if (entry.ok()) {
-        for (const NodeId& loc : entry->locations) {
-          if (liveness_->IsAlive(loc)) {
-            live_copy = true;
-            break;
-          }
-        }
-      }
-      if (!live_copy) {
+      if (!entry.ok() || !liveness_->AnyAlive(entry->locations)) {
         work.push_back(dep);
       }
     }
