@@ -19,6 +19,7 @@
 
 #include "bench/bench_util.h"
 #include "common/clock.h"
+#include "common/metrics.h"
 #include "runtime/api.h"
 
 #if defined(__linux__)
@@ -114,8 +115,7 @@ RungResult Run(int num_actors, int sample_calls) {
   // Round-trip latency against a spread of actors while everything else
   // stays parked. Stride through the fleet so the sample touches cold
   // actors, not one hot mailbox.
-  std::vector<double> latencies_us;
-  latencies_us.reserve(sample_calls);
+  Histogram latency_us;
   const size_t stride = actors.size() > 1 ? actors.size() / 97 + 1 : 1;
   size_t idx = 0;
   for (int i = 0; i < sample_calls; ++i) {
@@ -127,11 +127,11 @@ RungResult Run(int num_actors, int sample_calls) {
                    reply.status().ToString().c_str());
       return result;
     }
-    latencies_us.push_back(static_cast<double>(call.ElapsedMicros()));
+    latency_us.Observe(static_cast<double>(call.ElapsedMicros()));
     idx = (idx + stride) % actors.size();
   }
-  result.p50_us = bench::Percentile(latencies_us, 0.50);
-  result.p99_us = bench::Percentile(latencies_us, 0.99);
+  result.p50_us = latency_us.Percentile(50.0);
+  result.p99_us = latency_us.Percentile(99.0);
 
   auto& fibers = node.scheduler().fibers();
   result.fiber_parks = fibers.NumParks();

@@ -16,6 +16,7 @@
 #include "bench/bench_util.h"
 #include "common/clock.h"
 #include "common/logging.h"
+#include "common/metrics.h"
 #include "gcs/chain.h"
 #include "runtime/api.h"
 
@@ -56,7 +57,7 @@ double MeasureDetectLatency(int64_t heartbeat_us, int threshold, int trials,
                             ray::bench::BenchJson* json) {
   auto cluster = std::make_unique<Cluster>(BaseConfig(2 + trials, heartbeat_us, threshold));
   SleepMicros(4 * heartbeat_us);  // everyone heartbeats at least once
-  std::vector<double> samples;
+  Histogram detect_us;
   for (int t = 0; t < trials; ++t) {
     NodeId victim = cluster->node(static_cast<size_t>(1 + t)).id();
     int64_t killed_at = NowMicros();
@@ -64,9 +65,9 @@ double MeasureDetectLatency(int64_t heartbeat_us, int threshold, int trials,
     while (cluster->liveness().IsAlive(victim)) {
       SleepMicros(100);
     }
-    samples.push_back(static_cast<double>(NowMicros() - killed_at));
+    detect_us.Observe(static_cast<double>(NowMicros() - killed_at));
   }
-  double median = bench::Percentile(samples, 0.5);
+  double median = detect_us.Percentile(50.0);
   double bound = static_cast<double>(heartbeat_us * threshold);
   std::printf("  interval=%-6lld threshold=%d  bound=%6.1fms  median detect=%6.1fms  (%.2fx)\n",
               static_cast<long long>(heartbeat_us), threshold, bound / 1000.0, median / 1000.0,
@@ -75,7 +76,7 @@ double MeasureDetectLatency(int64_t heartbeat_us, int threshold, int trials,
                           {"miss_threshold", static_cast<double>(threshold)},
                           {"bound_us", bound},
                           {"median_detect_us", median},
-                          {"p100_detect_us", bench::Percentile(samples, 1.0)},
+                          {"p100_detect_us", detect_us.Max()},
                           {"ratio", median / bound}});
   return median / bound;
 }

@@ -8,7 +8,6 @@
 // ablations from DESIGN.md follow: forcing every submission through the
 // global scheduler (bottom-up off), and GCS shard count. Results land in
 // BENCH_scalability.json (throughput, submit-latency percentiles, config).
-#include <atomic>
 #include <cstdio>
 #include <string>
 #include <thread>
@@ -16,7 +15,7 @@
 
 #include "bench/bench_util.h"
 #include "common/clock.h"
-#include "common/sync.h"
+#include "common/metrics.h"
 #include "runtime/api.h"
 
 namespace ray {
@@ -69,36 +68,25 @@ RunResult RunThroughput(int num_nodes, int tasks_per_node, int task_ms, bool alw
 
   // One driver per node submits its share bottom-up (the paper's drivers
   // run on every node; nested submission achieves the same distribution).
-  Mutex lat_mu{"bench_scalability.lat_mu"};
-  std::vector<double> submit_lat_us;
-  submit_lat_us.reserve(static_cast<size_t>(num_nodes) * tasks_per_node);
-  std::atomic<int64_t> last_submit_done_us{0};
+  Histogram submit_lat_us;
+  Histogram submit_loop_s;  // each driver's whole submit loop; the slowest ends injection
   Timer timer;
-  int64_t start_us = NowMicros();
   std::vector<std::thread> drivers;
   for (int n = 0; n < num_nodes; ++n) {
     drivers.emplace_back([&, n] {
       Ray ray = Ray::OnNode(cluster, n);
       std::vector<ObjectRef<int>> refs;
-      std::vector<double> lat;
       refs.reserve(tasks_per_node);
-      lat.reserve(tasks_per_node);
       for (int t = 0; t < tasks_per_node; ++t) {
         Timer call_timer;
         refs.push_back(ray.Call<int>("sleep_task", task_ms));
-        lat.push_back(static_cast<double>(call_timer.ElapsedMicros()));
+        submit_lat_us.Observe(static_cast<double>(call_timer.ElapsedMicros()));
       }
-      int64_t done_us = NowMicros();
-      int64_t prev = last_submit_done_us.load(std::memory_order_relaxed);
-      while (prev < done_us &&
-             !last_submit_done_us.compare_exchange_weak(prev, done_us, std::memory_order_relaxed)) {
-      }
+      submit_loop_s.Observe(timer.ElapsedSeconds());
       for (auto& ref : refs) {
         auto r = ray.Get(ref, 300'000'000);
         RAY_CHECK(r.ok()) << r.status().ToString();
       }
-      MutexLock lock(lat_mu);
-      submit_lat_us.insert(submit_lat_us.end(), lat.begin(), lat.end());
     });
   }
   for (auto& d : drivers) {
@@ -107,13 +95,12 @@ RunResult RunThroughput(int num_nodes, int tasks_per_node, int task_ms, bool alw
   double seconds = timer.ElapsedSeconds();
   RunResult result;
   result.tasks_per_s = static_cast<double>(num_nodes) * tasks_per_node / seconds;
-  double submit_seconds =
-      static_cast<double>(last_submit_done_us.load(std::memory_order_relaxed) - start_us) / 1e6;
+  double submit_seconds = submit_loop_s.Max();
   result.submit_tasks_per_s =
       submit_seconds > 0 ? static_cast<double>(num_nodes) * tasks_per_node / submit_seconds : 0;
-  result.submit_p50_us = bench::Percentile(submit_lat_us, 0.50);
-  result.submit_p95_us = bench::Percentile(submit_lat_us, 0.95);
-  result.submit_p99_us = bench::Percentile(submit_lat_us, 0.99);
+  result.submit_p50_us = submit_lat_us.Percentile(50.0);
+  result.submit_p95_us = submit_lat_us.Percentile(95.0);
+  result.submit_p99_us = submit_lat_us.Percentile(99.0);
   for (int n = 0; n < num_nodes; ++n) {
     result.direct_submits += cluster.node(n).transport().NumDirectSubmits();
     result.lease_fallbacks += cluster.node(n).transport().NumFallbacks();

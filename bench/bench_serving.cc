@@ -152,8 +152,8 @@ KillResult RunNodeKill(double qps, double seconds) {
   cluster->KillNode(victim);
   while (NowMicros() - kill_us < load.duration_us) {
     auto snap = router.latency().Snap(NowMicros());
-    if (NowMicros() - kill_us > 300'000 && snap.window_count > 20 &&
-        snap.window_p99_us < static_cast<double>(kSloUs) && router.NumHealthyReplicas() >= 3) {
+    if (NowMicros() - kill_us > 300'000 && snap->Count() > 20 &&
+        snap->Percentile(99.0) < static_cast<double>(kSloUs) && router.NumHealthyReplicas() >= 3) {
       result.recovery_ms = static_cast<double>(NowMicros() - kill_us) / 1e3;
       break;
     }

@@ -4,9 +4,9 @@
 // everything further for smoke runs.
 //
 // Besides the console output, benches emit a machine-readable
-// BENCH_<name>.json (throughput, latency percentiles, config) via BenchJson,
-// written to RAY_BENCH_JSON_DIR (default: current directory) so CI and
-// before/after comparisons can diff runs without scraping stdout.
+// BENCH_<name>.json (host, throughput, latency percentiles, config) via
+// BenchJson, written to RAY_BENCH_JSON_DIR (default: current directory) so CI
+// and before/after comparisons can diff runs without scraping stdout.
 #ifndef RAY_BENCH_BENCH_UTIL_H_
 #define RAY_BENCH_BENCH_UTIL_H_
 
@@ -15,6 +15,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -45,19 +46,6 @@ inline std::string HumanBytes(size_t bytes) {
     std::snprintf(buf, sizeof(buf), "%zuB", bytes);
   }
   return buf;
-}
-
-// Linear-interpolated percentile of an (unsorted) sample, q in [0, 1].
-inline double Percentile(std::vector<double> samples, double q) {
-  if (samples.empty()) {
-    return 0.0;
-  }
-  std::sort(samples.begin(), samples.end());
-  double pos = q * static_cast<double>(samples.size() - 1);
-  size_t lo = static_cast<size_t>(pos);
-  size_t hi = std::min(lo + 1, samples.size() - 1);
-  double frac = pos - static_cast<double>(lo);
-  return samples[lo] * (1.0 - frac) + samples[hi] * frac;
 }
 
 // Accumulates one bench run and writes it as BENCH_<name>.json. Supports
@@ -108,6 +96,7 @@ class BenchJson {
   void Write() const {
     std::string out = "{\n";
     out += "  " + Quote("bench") + ": " + Quote(name_);
+    out += ",\n  " + Quote("host") + ": " + HostJson();
     for (const auto& [k, v] : scalars_) {
       out += ",\n  " + Quote(k) + ": " + v;
     }
@@ -130,6 +119,23 @@ class BenchJson {
   }
 
  private:
+  // Where the numbers came from, with the fields perfbench prints on its
+  // `# host` line. The commit is the HEAD of the source checkout's own .git
+  // at run time, not that of a repository it may sit inside.
+  static std::string HostJson() {
+    std::string commit = "unknown";
+    if (FILE* git = popen("git --git-dir='" RAY_SOURCE_DIR "/.git' rev-parse --short HEAD 2>/dev/null",
+                          "r")) {
+      char hash[64];
+      if (std::fscanf(git, "%63s", hash) == 1) {
+        commit = hash;
+      }
+      pclose(git);
+    }
+    return "{" + Quote("cores") + ": " + Number(std::thread::hardware_concurrency()) + ", " +
+           Quote("build_type") + ": " + Quote(RAY_BUILD_TYPE) + ", " + Quote("compiler") + ": " +
+           Quote(__VERSION__) + ", " + Quote("commit") + ": " + Quote(commit) + "}";
+  }
   static std::string Number(double v) {
     if (!std::isfinite(v)) {
       return "null";

@@ -27,24 +27,29 @@
 #      orders a task's outputs after its lineage; a second writer would be
 #      an unordered second copy. The match is on the table receivers
 #      (`tasks`, `objects`, `actors`), so TaskGraph::AddTask passes.
-#   6. Clang thread-safety analysis: build the tidy preset with
+#   6. Histogram gate: in src/ and bench/, no std::nth_element, and no
+#      function whose name contains "percentile" (any case) outside
+#      src/common/metrics.{h,cc}. Every percentile comes from ray::Histogram,
+#      so there is one definition of it and no sample store to sort.
+#      perfbench/ keeps its own helper and is not scanned.
+#   7. Clang thread-safety analysis: build the tidy preset with
 #      -Wthread-safety -Wthread-safety-beta as errors. Loud skip when clang
 #      is not installed (gcc-only containers).
-#   7. clang-tidy lint (scripts/run_lint.sh; loud skip without clang-tidy).
-#   8. Lockdep soak: debug build (NDEBUG unset => runtime lock-order checker
+#   8. clang-tidy lint (scripts/run_lint.sh; loud skip without clang-tidy).
+#   9. Lockdep soak: debug build (NDEBUG unset => runtime lock-order checker
 #      compiled in), full ctest suite plus the seeded chaos soak. Any cycle
 #      in the lock-order graph aborts with both acquisition stacks.
 #
 # Usage: run_checks.sh [quick]
-#   quick — grep gates only (checks 1-5); used by run_tier1.sh so every CI
+#   quick — grep gates only (checks 1-6); used by run_tier1.sh so every CI
 #   run enforces the annotation discipline even without clang or a debug
-#   build. The full eight-gate run is the pre-merge bar.
+#   build. The full nine-gate run is the pre-merge bar.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 MODE="${1:-full}"
 
-echo "== check 1/8: raw sync primitives outside common/sync.h =="
+echo "== check 1/9: raw sync primitives outside common/sync.h =="
 # Strip // comments before matching so prose mentioning std::mutex (e.g. the
 # layout notes in lockdep.h) doesn't trip the gate.
 raw_hits=$(grep -rnE 'std::(mutex|shared_mutex|lock_guard|unique_lock|shared_lock|condition_variable(_any)?)' \
@@ -60,7 +65,7 @@ if [[ -n "$raw_hits" ]]; then
 fi
 echo "OK: all locking goes through ray::Mutex / ray::SharedMutex"
 
-echo "== check 2/8: NO_THREAD_SAFETY_ANALYSIS budget =="
+echo "== check 2/9: NO_THREAD_SAFETY_ANALYSIS budget =="
 nts_hits=$(grep -rn 'NO_THREAD_SAFETY_ANALYSIS' src/ --include='*.h' --include='*.cc' \
   | grep -v '^src/common/sync\.h:' || true)
 nts_count=$(printf '%s' "$nts_hits" | grep -c . || true)
@@ -80,7 +85,7 @@ while IFS=: read -r file line _; do
 done <<< "$nts_hits"
 echo "OK: $nts_count/5 escape hatches, all justified"
 
-echo "== check 3/8: raw time / randomness primitives outside src/common/ =="
+echo "== check 3/9: raw time / randomness primitives outside src/common/ =="
 # Everything that observes wall-clock time, sleeps, or draws entropy must go
 # through the hookable seams in src/common/ (clock.h NowMicros/SleepMicros,
 # random.h Rng) so deterministic-schedule testing (common/dst.h) can virtualise
@@ -119,7 +124,7 @@ if [[ -n "$spin_hits" ]]; then
 fi
 echo "OK: all time and entropy flows through the hookable seams in src/common/, no spin waits"
 
-echo "== check 4/8: every runtime option has a caller =="
+echo "== check 4/9: every runtime option has a caller =="
 # Prints `header: Struct::field` for each field nobody assigns; the last line
 # is the count of settable values.
 option_report=$(perl - <<'PERL'
@@ -174,7 +179,7 @@ if [[ -n "$option_unset" ]]; then
 fi
 echo "OK: $option_summary"
 
-echo "== check 5/8: one lineage writer =="
+echo "== check 5/9: one lineage writer =="
 lineage_hits=$(grep -rnE '\b(tasks|objects|actors)\s*(\.|->)\s*(AddTask|RecordCreatingTask|AppendMethod|RegisterActor)(Async)?\s*\(' \
   src/ --include='*.h' --include='*.cc' \
   | grep -v '^src/gcs/' \
@@ -188,12 +193,32 @@ if [[ -n "$lineage_hits" ]]; then
 fi
 echo "OK: lineage is written only by LineageBuffer"
 
+echo "== check 6/9: one histogram =="
+# A definition is a type, then a name containing "percentile", then "(" (or
+# "auto name = [" for a lambda); calls through ".", "->" or "=" do not match.
+pct_hits=$({
+  grep -rn 'nth_element' src/ bench/ --include='*.h' --include='*.cc' || true
+  grep -rniE \
+    -e '^\s*([A-Za-z_][A-Za-z0-9_:<>,*&]*\s+)+[A-Za-z0-9_:]*percentile[A-Za-z0-9_]*\s*\(' \
+    -e '\bauto\s+[A-Za-z0-9_]*percentile[A-Za-z0-9_]*\s*=\s*\[' \
+    src/ bench/ --include='*.h' --include='*.cc' \
+    | grep -vE '^src/common/metrics\.(h|cc):' \
+    | grep -vE ':[0-9]+:\s*(//|return\b)' || true
+})
+if [[ -n "$pct_hits" ]]; then
+  echo "FAIL: a percentile computed outside ray::Histogram:" >&2
+  echo "$pct_hits" >&2
+  echo "Observe into a ray::Histogram (common/metrics.h) and read its Percentile." >&2
+  exit 1
+fi
+echo "OK: every percentile comes from ray::Histogram"
+
 if [[ "$MODE" == "quick" ]]; then
   echo "run_checks: quick mode — grep gates passed (run without 'quick' for the full bar)"
   exit 0
 fi
 
-echo "== check 6/8: clang thread-safety analysis (tidy preset) =="
+echo "== check 7/9: clang thread-safety analysis (tidy preset) =="
 if command -v clang++ >/dev/null 2>&1; then
   cmake --preset tidy >/dev/null
   cmake --build --preset tidy -j"$(nproc)"
@@ -203,10 +228,10 @@ else
   echo "Install LLVM (clang) to verify GUARDED_BY/REQUIRES annotations compile-time." >&2
 fi
 
-echo "== check 7/8: clang-tidy lint =="
+echo "== check 8/9: clang-tidy lint =="
 ./scripts/run_lint.sh
 
-echo "== check 8/8: lockdep soak (debug build) =="
+echo "== check 9/9: lockdep soak (debug build) =="
 cmake --preset debug >/dev/null
 cmake --build --preset debug -j"$(nproc)"
 ctest --test-dir build-debug --output-on-failure -j"$(nproc)"

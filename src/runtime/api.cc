@@ -93,18 +93,14 @@ Result<BufferPtr> Ray::GetBuffer(const ObjectId& id, int64_t timeout_us) {
     if (entry.ok() && cluster_->liveness().AnyAlive(entry->locations)) {
       continue;  // a fetch will succeed shortly
     }
-    auto task_id = cluster_->tables().objects.GetCreatingTask(id);
-    if (!task_id.ok()) {
-      if (entry.ok() && !entry->locations.empty()) {
-        // A put object whose only replicas died with their nodes.
-        return Status::ObjectLost("object has no lineage and no live replica");
-      }
-      continue;  // nothing known yet; keep waiting
-    }
     // ReconstructObject decides what (if anything) needs resubmitting: it
     // skips tasks already in flight on healthy nodes but still walks their
-    // dependencies, covering producers that died before publishing.
-    cluster_->ReconstructObject(id);
+    // dependencies, covering producers that died before publishing, and
+    // reports the object lost if it needs a put with no live replica.
+    Status s = cluster_->ReconstructObject(id);
+    if (!s.ok()) {
+      return s;
+    }
   }
 }
 

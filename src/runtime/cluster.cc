@@ -299,21 +299,32 @@ Status Cluster::RouteActorTask(const TaskSpec& spec, const NodeId& from) {
   return finish(Status::TimedOut("actor has no live location"));
 }
 
-void Cluster::ReconstructObject(const ObjectId& object) {
+Status Cluster::ReconstructObject(const ObjectId& object) {
   trace::Span span(trace::Stage::kReconstruct, TaskId(), object);
   // Iterative worklist: rebuilding an object may require rebuilding the
-  // producers of its inputs (linear chains in Fig. 11a).
+  // producers of its inputs (linear chains in Fig. 11a). Each object is
+  // visited once, as shared ancestors can have exponentially many paths.
   std::deque<ObjectId> work{object};
+  std::unordered_set<ObjectId> seen{object};
   while (!work.empty()) {
     ObjectId obj = work.front();
     work.pop_front();
 
     auto task_id = tables_->objects.GetCreatingTask(obj);
     if (!task_id.ok()) {
-      // No lineage: a ray::Put object. If every replica is dead this is
-      // genuinely unrecoverable.
-      RAY_LOG(WARNING) << "object " << ToShortString(obj) << " has no lineage; cannot reconstruct";
-      continue;
+      // No lineage: a ray::Put object (or lineage not recorded yet). Once its
+      // recorded replicas are all dead, nothing can rebuild it.
+      auto entry = tables_->objects.GetLocations(obj);
+      if (!entry.ok() || entry->locations.empty() || liveness_->AnyAlive(entry->locations)) {
+        continue;
+      }
+      Status lost = Status::ObjectLost("object " + ToShortString(obj) +
+                                       " has no lineage and no live replica");
+      MutexLock lock(reconstruct_mu_);
+      if (lost_puts_.insert(obj).second) {
+        RAY_LOG(WARNING) << lost.ToString();
+      }
+      return lost;
     }
     auto spec_bytes = tables_->tasks.GetSpec(*task_id);
     if (!spec_bytes.ok()) {
@@ -381,6 +392,9 @@ void Cluster::ReconstructObject(const ObjectId& object) {
     // be waiting on a producer that died before publishing any location, and
     // nothing else in the system can notice that silently-lost ancestor.
     for (const ObjectId& dep : spec.Dependencies()) {
+      if (!seen.insert(dep).second) {
+        continue;
+      }
       auto entry = tables_->objects.GetLocations(dep);
       if (!entry.ok() || !liveness_->AnyAlive(entry->locations)) {
         work.push_back(dep);
@@ -398,6 +412,7 @@ void Cluster::ReconstructObject(const ObjectId& object) {
       reconstructing_.erase(spec.id);
     }
   }
+  return Status::Ok();
 }
 
 size_t Cluster::CollectLineage(const std::vector<ObjectId>& objects, bool transitive) {

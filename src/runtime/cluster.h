@@ -108,8 +108,9 @@ class Cluster {
 
   // --- fault tolerance ---
   // Re-executes the lineage needed to reproduce `object` (idempotent; safe
-  // to call from fetch threads and concurrent getters).
-  void ReconstructObject(const ObjectId& object);
+  // to call from fetch threads and concurrent getters). ObjectLost: the walk
+  // reached a put object whose recorded replicas are all on dead nodes.
+  Status ReconstructObject(const ObjectId& object);
   // Recovers a dead actor: re-runs its creation task (which restores the
   // latest checkpoint if any) and replays the method log past it.
   void RecoverActor(const ActorId& actor);
@@ -179,6 +180,8 @@ class Cluster {
 
   Mutex reconstruct_mu_{"Cluster.reconstruct_mu"};
   std::unordered_set<TaskId> reconstructing_ GUARDED_BY(reconstruct_mu_);
+  // Put objects already reported lost, so each is logged once.
+  std::unordered_set<ObjectId> lost_puts_ GUARDED_BY(reconstruct_mu_);
 
   Mutex actor_recovery_mu_{"Cluster.actor_recovery_mu"};
   std::unordered_set<ActorId> actors_recovering_ GUARDED_BY(actor_recovery_mu_);

@@ -100,11 +100,11 @@ LoadGenReport RunOpenLoopLoad(Router& router, const LoadGenConfig& config) {
   report.sessions_touched = sessions;
   report.achieved_qps =
       static_cast<double>(report.completed) / (static_cast<double>(config.duration_us) / 1e6);
-  report.p50_ms = router.latency().TotalPercentile(50.0) / 1e3;
-  report.p99_ms = router.latency().TotalPercentile(99.0) / 1e3;
-  report.p999_ms = router.latency().TotalPercentile(99.9) / 1e3;
-  report.shed_p99_us = shed_latency_us.Count() > 0 ? shed_latency_us.Percentile(99.0) : 0.0;
-  report.behind_p99_us = behind_us.Count() > 0 ? behind_us.Percentile(99.0) : 0.0;
+  report.p50_ms = router.latency().total().Percentile(50.0) / 1e3;
+  report.p99_ms = router.latency().total().Percentile(99.0) / 1e3;
+  report.p999_ms = router.latency().total().Percentile(99.9) / 1e3;
+  report.shed_p99_us = shed_latency_us.Percentile(99.0);
+  report.behind_p99_us = behind_us.Percentile(99.0);
   return report;
 }
 

@@ -559,10 +559,10 @@ void Router::HandleTick() {
 void Router::PublishMetrics(int64_t now) {
   ServeMetrics m;
   m.published_us = now;
-  auto snap = latency_.Snap(now);
-  m.window_completed = snap.window_count;
-  m.window_p50_us = snap.window_p50_us;
-  m.window_p99_us = snap.window_p99_us;
+  auto window = latency_.Snap(now);
+  m.window_completed = window->Count();
+  m.window_p50_us = window->Percentile(50.0);
+  m.window_p99_us = window->Percentile(99.0);
   double interval_s = static_cast<double>(now - last_publish_us_) / 1e6;
   uint64_t completed = completed_.Value();
   uint64_t shed = shed_.Value();

@@ -1,68 +1,35 @@
 #include "serve/stats.h"
 
-#include <algorithm>
-
 #include "common/serialization.h"
 
 namespace ray {
 namespace serve {
 
-namespace {
-constexpr size_t kMaxAllSamples = 1 << 20;
-
-double PercentileOf(std::vector<int64_t>& v, double p) {
-  if (v.empty()) {
-    return 0.0;
-  }
-  double rank = p / 100.0 * static_cast<double>(v.size() - 1);
-  size_t idx = static_cast<size_t>(rank);
-  std::nth_element(v.begin(), v.begin() + idx, v.end());
-  return static_cast<double>(v[idx]);
-}
-}  // namespace
-
-void LatencyWindow::Prune(int64_t now_us) const {
-  while (!window_.empty() && window_.front().done_us < now_us - window_us_) {
-    window_.pop_front();
-  }
-}
-
 void LatencyWindow::Observe(int64_t done_us, int64_t latency_us) {
+  total_.Observe(static_cast<double>(latency_us));
+  int64_t index = done_us / slice_us_;
   MutexLock lock(mu_);
-  window_.push_back({done_us, latency_us});
-  Prune(done_us);
-  ++total_count_;
-  if (all_.size() < kMaxAllSamples) {
-    all_.push_back(latency_us);
-  } else {
-    // Overwrite pseudo-randomly so the reservoir stays representative.
-    all_[total_count_ % kMaxAllSamples] = latency_us;
+  Slice& slice = slices_[index % kSlices];
+  if (slice.index > index) {
+    return;  // the slot already holds a newer slice: this sample left the window
   }
+  if (slice.index < index) {
+    slice.latency.Reset();
+    slice.index = index;
+  }
+  slice.latency.Observe(static_cast<double>(latency_us));
 }
 
-LatencyWindow::Snapshot LatencyWindow::Snap(int64_t now_us) const {
+std::unique_ptr<Histogram> LatencyWindow::Snap(int64_t now_us) const {
+  int64_t now_index = now_us / slice_us_;
+  auto window = std::make_unique<Histogram>();
   MutexLock lock(mu_);
-  Prune(now_us);
-  Snapshot s;
-  s.window_count = window_.size();
-  s.total_count = total_count_;
-  if (!window_.empty()) {
-    std::vector<int64_t> lat;
-    lat.reserve(window_.size());
-    for (const Sample& smp : window_) {
-      lat.push_back(smp.latency_us);
+  for (const Slice& slice : slices_) {
+    if (slice.index > now_index - kSlices && slice.index <= now_index) {
+      window->Merge(slice.latency);
     }
-    s.window_p50_us = PercentileOf(lat, 50.0);
-    s.window_p99_us = PercentileOf(lat, 99.0);
   }
-  return s;
-}
-
-double LatencyWindow::TotalPercentile(double p) const {
-  MutexLock lock(mu_);
-  std::vector<int64_t> copy = all_;
-  lock.Unlock();
-  return PercentileOf(copy, p);
+  return window;
 }
 
 std::string ServeMetrics::Serialize() const {

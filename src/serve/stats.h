@@ -1,4 +1,4 @@
-// Serving-layer statistics: a sliding-window latency reservoir for the
+// Serving-layer statistics: sliding-window latency histograms for the
 // autoscaler's windowed-p99 policy, and the ServeMetrics blob routers
 // publish to the GCS Serve Table each stats tick. Latencies are measured
 // from the request's *scheduled* arrival time (open-loop), so queueing
@@ -8,49 +8,44 @@
 #define RAY_SERVE_STATS_H_
 
 #include <cstdint>
-#include <deque>
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "common/metrics.h"
 #include "common/sync.h"
 
 namespace ray {
 namespace serve {
 
-// Sliding-window latency samples plus all-time aggregates. Thread-safe; the
-// window is pruned on every Observe and Snapshot, so memory is bounded by
-// window length x completion rate.
+// Latency over a sliding window, plus all time. The window is kSlices
+// histograms, each holding the samples that completed in one window_us /
+// kSlices slice; a slot is cleared when a newer slice reuses it, so a
+// snapshot covers the last window_us to within one slice. Memory is fixed.
+// Thread-safe.
 class LatencyWindow {
  public:
-  explicit LatencyWindow(int64_t window_us) : window_us_(window_us) {}
+  explicit LatencyWindow(int64_t window_us) : slice_us_(window_us / kSlices), slices_(kSlices) {}
 
   void Observe(int64_t done_us, int64_t latency_us);
 
-  struct Snapshot {
-    uint64_t window_count = 0;
-    double window_p50_us = 0.0;
-    double window_p99_us = 0.0;
-    uint64_t total_count = 0;
-  };
-  Snapshot Snap(int64_t now_us) const;
+  // The samples that completed within the window ending at `now_us`.
+  std::unique_ptr<Histogram> Snap(int64_t now_us) const;
 
-  // Percentile over every sample ever observed (bounded reservoir of the
-  // most recent 1M samples). p in [0, 100].
-  double TotalPercentile(double p) const;
+  // Every sample ever observed.
+  const Histogram& total() const { return total_; }
 
  private:
-  struct Sample {
-    int64_t done_us;
-    int64_t latency_us;
+  static constexpr int64_t kSlices = 10;
+  struct Slice {
+    int64_t index = -1;  // done_us / slice_us_ of the samples it holds
+    Histogram latency;
   };
 
-  void Prune(int64_t now_us) const;
-
-  int64_t window_us_;
+  const int64_t slice_us_;
   mutable Mutex mu_{"LatencyWindow.mu"};
-  mutable std::deque<Sample> window_ GUARDED_BY(mu_);
-  std::vector<int64_t> all_ GUARDED_BY(mu_);
-  uint64_t total_count_ GUARDED_BY(mu_) = 0;
+  std::vector<Slice> slices_ GUARDED_BY(mu_);  // 640 KB, so on the heap
+  Histogram total_;
 };
 
 // The metrics blob a router publishes to ServeTable::PublishMetrics. The GCS

@@ -6,6 +6,7 @@
 #include <unordered_map>
 
 #include "common/logging.h"
+#include "common/metrics.h"
 
 namespace ray {
 namespace trace {
@@ -149,40 +150,27 @@ Status Collector::WriteChromeTrace(const std::string& path) const {
 }
 
 LatencyBreakdown Collector::Breakdown(const std::vector<TraceEvent>& events) {
-  std::vector<std::vector<double>> durs(static_cast<size_t>(Stage::kNumStages));
+  std::vector<Histogram> durs(static_cast<size_t>(Stage::kNumStages));
   for (const TraceEvent& e : events) {
     size_t i = static_cast<size_t>(e.stage);
     if (i < durs.size()) {
-      durs[i].push_back(static_cast<double>(e.dur_us));
+      durs[i].Observe(static_cast<double>(e.dur_us));
     }
   }
   LatencyBreakdown breakdown;
   for (size_t i = 0; i < durs.size(); ++i) {
-    std::vector<double>& samples = durs[i];
-    if (samples.empty()) {
+    const Histogram& h = durs[i];
+    if (h.Count() == 0) {
       continue;
     }
-    std::sort(samples.begin(), samples.end());
-    auto pct = [&](double q) {
-      double pos = q * static_cast<double>(samples.size() - 1);
-      size_t lo = static_cast<size_t>(pos);
-      size_t hi = std::min(lo + 1, samples.size() - 1);
-      double frac = pos - static_cast<double>(lo);
-      return samples[lo] * (1.0 - frac) + samples[hi] * frac;
-    };
     StageStats stats;
     stats.stage = static_cast<Stage>(i);
-    stats.count = samples.size();
-    double total = 0;
-    for (double d : samples) {
-      total += d;
-    }
-    stats.total_ms = total / 1e3;
-    stats.mean_us = total / static_cast<double>(samples.size());
-    stats.p50_us = pct(0.50);
-    stats.p95_us = pct(0.95);
-    stats.p99_us = pct(0.99);
-    stats.max_us = samples.back();
+    stats.count = h.Count();
+    stats.total_ms = h.Sum() / 1e3;
+    stats.mean_us = h.Mean();
+    stats.p50_us = h.Percentile(50.0);
+    stats.p99_us = h.Percentile(99.0);
+    stats.max_us = h.Max();
     breakdown.stages.push_back(stats);
   }
   return breakdown;

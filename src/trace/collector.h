@@ -18,13 +18,14 @@
 namespace ray {
 namespace trace {
 
+// One stage's durations. Percentiles come from a Histogram, so they are
+// bucketed to within 0.4%; count, total, mean and max are exact.
 struct StageStats {
   Stage stage = Stage::kMark;
   uint64_t count = 0;
   double total_ms = 0.0;
   double mean_us = 0.0;
   double p50_us = 0.0;
-  double p95_us = 0.0;
   double p99_us = 0.0;
   double max_us = 0.0;
 };

@@ -1,13 +1,16 @@
 // Unit tests for src/common: ids, status/result, buffers, serialization,
-// resources, metrics, queues, sync, and the thread pool. Includes
+// resources, metrics (and the serve layer's LatencyWindow built on the
+// histogram), queues, sync, and the thread pool. Includes
 // parameterized property-style sweeps for the serialization codecs and
 // resource algebra.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstring>
 #include <fstream>
+#include <functional>
 #include <map>
 #include <set>
 #include <thread>
@@ -23,6 +26,7 @@
 #include "common/status.h"
 #include "common/sync.h"
 #include "common/thread_pool.h"
+#include "serve/stats.h"
 
 namespace ray {
 namespace {
@@ -230,6 +234,124 @@ TEST(MetricsTest, HistogramPercentiles) {
   EXPECT_NEAR(h.Mean(), 50.5, 1e-9);
   EXPECT_NEAR(h.Percentile(50), 50.5, 1.0);
   EXPECT_NEAR(h.Percentile(99), 99, 1.1);
+}
+
+TEST(MetricsTest, HistogramPercentilesWithinBucketErrorOfExactRanks) {
+  Rng rng(7);
+  std::vector<std::pair<const char*, std::function<double()>>> shapes = {
+      {"lognormal", [&] { return std::exp(rng.Normal(5.0, 1.5)); }},
+      {"uniform", [&] { return rng.Uniform(0.0, 1000.0); }},
+      {"exponential", [&] { return -100.0 * std::log(1.0 - rng.Uniform()); }},
+      {"small-integer", [&] { return static_cast<double>(rng.UniformInt(0, 20)); }},
+  };
+  for (auto& [name, draw] : shapes) {
+    Histogram h;
+    std::vector<double> sorted(200'000);
+    for (double& v : sorted) {
+      v = draw();
+      h.Observe(v);
+    }
+    std::sort(sorted.begin(), sorted.end());
+    for (double p : {1.0, 50.0, 90.0, 99.0, 99.9, 100.0}) {
+      // Exact nearest rank: the sample of rank floor(p/100 * (n - 1)).
+      auto rank = static_cast<size_t>(p / 100.0 * static_cast<double>(sorted.size() - 1));
+      double exact = sorted[rank];
+      EXPECT_NEAR(h.Percentile(p), exact, 0.005 * exact) << name << " p" << p;
+    }
+  }
+}
+
+TEST(MetricsTest, HistogramAggregatesAreExact) {
+  Histogram h;
+  EXPECT_EQ(h.Count(), 0u);
+  EXPECT_EQ(h.Sum(), 0.0);
+  EXPECT_EQ(h.Mean(), 0.0);
+  EXPECT_EQ(h.Min(), 0.0);
+  EXPECT_EQ(h.Max(), 0.0);
+  EXPECT_EQ(h.Percentile(50), 0.0);
+
+  Rng rng(3);
+  double sum = 0.0;
+  double lo = 1e300;
+  double hi = 0.0;
+  for (int i = 0; i < 10'000; ++i) {
+    double v = std::exp(rng.Normal(3.0, 2.0));
+    h.Observe(v);
+    sum += v;
+    lo = std::min(lo, v);
+    hi = std::max(hi, v);
+  }
+  EXPECT_EQ(h.Count(), 10'000u);
+  EXPECT_EQ(h.Sum(), sum);
+  EXPECT_EQ(h.Min(), lo);
+  EXPECT_EQ(h.Max(), hi);
+
+  h.Reset();
+  EXPECT_EQ(h.Count(), 0u);
+  EXPECT_EQ(h.Sum(), 0.0);
+  EXPECT_EQ(h.Max(), 0.0);
+  EXPECT_EQ(h.Percentile(99), 0.0);
+  h.Observe(5.0);  // the extremes restart from the first sample after a reset
+  EXPECT_EQ(h.Min(), 5.0);
+  EXPECT_EQ(h.Max(), 5.0);
+}
+
+TEST(MetricsTest, HistogramConcurrentObserversLoseNothing) {
+  Histogram h;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&h, t] {
+      for (int i = 0; i < 100'000; ++i) {
+        h.Observe(static_cast<double>(t * 100'000 + i));
+      }
+    });
+  }
+  for (auto& t : threads) {
+    t.join();
+  }
+  EXPECT_EQ(h.Count(), 400'000u);
+  EXPECT_EQ(h.Sum(), 399'999.0 * 400'000.0 / 2);  // 0 + 1 + ... + 399'999
+  EXPECT_EQ(h.Min(), 0.0);
+  EXPECT_EQ(h.Max(), 399'999.0);
+}
+
+TEST(MetricsTest, HistogramMergeOfHalvesEqualsWhole) {
+  Rng rng(11);
+  Histogram whole;
+  Histogram first;
+  Histogram second;
+  for (int i = 0; i < 20'000; ++i) {
+    // Whole microseconds, so both ways of summing are exact.
+    double v = std::round(std::exp(rng.Normal(6.0, 1.0)));
+    whole.Observe(v);
+    (i % 2 == 0 ? first : second).Observe(v);
+  }
+  first.Merge(second);
+  EXPECT_EQ(first.Count(), whole.Count());
+  EXPECT_EQ(first.Sum(), whole.Sum());
+  EXPECT_EQ(first.Min(), whole.Min());
+  EXPECT_EQ(first.Max(), whole.Max());
+  for (double p : {0.0, 10.0, 50.0, 90.0, 99.0, 99.9, 100.0}) {
+    EXPECT_EQ(first.Percentile(p), whole.Percentile(p)) << "p" << p;
+  }
+}
+
+TEST(MetricsTest, LatencyWindowForgetsOldSamplesButTotalKeepsThem) {
+  serve::LatencyWindow window(1'000'000);
+  window.Observe(100'000, 500);
+  window.Observe(1'500'000, 700);
+  auto recent = window.Snap(1'500'000);
+  EXPECT_EQ(recent->Count(), 1u);  // the 100 ms sample is more than 1 s old
+  EXPECT_EQ(recent->Percentile(99.0), 700.0);
+  EXPECT_EQ(window.total().Count(), 2u);
+  EXPECT_EQ(window.total().Min(), 500.0);
+
+  // A sample that arrives after its slot was reused is out of the window too.
+  window.Observe(500'000, 900);
+  EXPECT_EQ(window.Snap(1'500'000)->Count(), 1u);
+  EXPECT_EQ(window.total().Count(), 3u);
+  EXPECT_EQ(window.Snap(3'000'000)->Count(), 0u);
+  EXPECT_EQ(window.Snap(3'000'000)->Percentile(99.0), 0.0);
 }
 
 TEST(MetricsTest, CounterIsThreadSafe) {

@@ -9,6 +9,7 @@ namespace ray {
 namespace {
 
 int Increment(int x) { return x + 1; }
+int64_t Add(int64_t a, int64_t b) { return a + b; }
 std::vector<float> Blob(int n) { return std::vector<float>(n, 1.0f); }
 
 ClusterConfig FaultClusterConfig(int nodes) {
@@ -116,6 +117,64 @@ TEST_F(FaultToleranceTest, ChainReconstructionRebuildsLostSubtree) {
   auto again = ray.Get(c, 30'000'000);
   ASSERT_TRUE(again.ok()) << again.status().ToString();
   EXPECT_EQ(*again, 3);
+}
+
+TEST_F(FaultToleranceTest, LostLadderLineageRebuildsQuickly) {
+  // x_i = x_{i-1} + x_{i-2}: every object below the top is reachable from it
+  // along exponentially many lineage paths. A walk that visits an object once
+  // per path never finishes; one that visits each object once rebuilds the
+  // ladder in a few task latencies.
+  constexpr int kDepth = 32;
+  cluster_->RegisterFunction("add", &Add);
+  const ResourceSet pinned{{"CPU", 1}, {"tag", 1}};
+  NodeId tagged = cluster_->AddNodeWithResources(ResourceSet{{"CPU", 2}, {"tag", 1}});
+  SleepMicros(30'000);  // heartbeat, so placement sees the tagged node
+  Ray ray = Ray::OnNode(*cluster_, 0);
+  std::vector<ObjectRef<int64_t>> x = {ray.Put<int64_t>(0), ray.Put<int64_t>(1)};
+  for (int i = 2; i <= kDepth; ++i) {
+    x.push_back(ray.CallWithResources<int64_t>("add", pinned, x[i - 1], x[i - 2]));
+  }
+  // Wait, not Get: a Get would copy the top object to the driver's node.
+  ASSERT_EQ(ray.Wait(std::vector<ObjectRef<int64_t>>{x.back()}, 1, 30'000'000).size(), 1u);
+
+  cluster_->AddNodeWithResources(ResourceSet{{"CPU", 2}, {"tag", 1}});
+  cluster_->KillNode(tagged);
+  auto top = ray.Get(x.back(), 10'000'000);
+  ASSERT_TRUE(top.ok()) << top.status().ToString();
+  EXPECT_EQ(*top, 2178309);  // Fibonacci(32)
+}
+
+TEST_F(FaultToleranceTest, LostPutInputReportsObjectLost) {
+  // A put object has no lineage: once its only replica's node is declared
+  // dead it is gone, and a Get of anything that needs it says so instead of
+  // waiting out its timeout.
+  Ray owner = Ray::OnNode(*cluster_, 1);
+  auto put = owner.Put(41);
+  auto entry = cluster_->tables().objects.GetLocations(put.id());
+  for (int64_t deadline = NowMicros() + 5'000'000;
+       (!entry.ok() || entry->locations.empty()) && NowMicros() < deadline;) {
+    SleepMicros(1'000);
+    entry = cluster_->tables().objects.GetLocations(put.id());
+  }
+  ASSERT_TRUE(entry.ok() && !entry->locations.empty()) << "the put's location never committed";
+  NodeId holder = cluster_->node(1).id();
+  cluster_->KillNode(holder);
+  for (int64_t deadline = NowMicros() + 10'000'000;
+       !cluster_->liveness().IsDead(holder) && NowMicros() < deadline;) {
+    SleepMicros(1'000);
+  }
+  ASSERT_TRUE(cluster_->liveness().IsDead(holder));
+
+  Ray ray = Ray::OnNode(*cluster_, 0);
+  Timer timer;
+  auto dependent = ray.Get(ray.Call<int>("inc", put), 5'000'000);
+  ASSERT_FALSE(dependent.ok());
+  EXPECT_EQ(dependent.status().code(), StatusCode::kObjectLost) << dependent.status().ToString();
+  EXPECT_LT(timer.ElapsedMicros(), 2'000'000);
+
+  auto direct = ray.Get(put, 5'000'000);
+  ASSERT_FALSE(direct.ok());
+  EXPECT_EQ(direct.status().code(), StatusCode::kObjectLost) << direct.status().ToString();
 }
 
 // --- actor recovery ---

@@ -209,8 +209,8 @@ TEST(ServingTest, NodeKillReroutesWithinBoundedWindow) {
   bool recovered = false;
   while (NowMicros() - kill_us < bound_us) {
     auto snap = router.latency().Snap(NowMicros());
-    if (NowMicros() - kill_us > 500'000 && snap.window_count > 20 &&
-        snap.window_p99_us < static_cast<double>(config.slo_us) &&
+    if (NowMicros() - kill_us > 500'000 && snap->Count() > 20 &&
+        snap->Percentile(99.0) < static_cast<double>(config.slo_us) &&
         router.NumHealthyReplicas() >= 3) {
       recovered = true;
       break;
