@@ -211,13 +211,15 @@ int main(int argc, char** argv) {
                    static_cast<unsigned long long>(leased.leases_granted));
       return 1;
     }
-    // Pressure-revocation hysteresis: a steady leased run never starves the
-    // ready queue long enough to cross the dwell window, so the busy-lease
-    // escalation must not fire at all. Any nonzero count here means transient
-    // ready-queue blips are tearing down hot pipelines again.
+    // Busy-lease revocation: a ready task rides a lease of its shape, so only
+    // a task that no lease can carry (another shape, an actor creation) is
+    // pressure. A steady same-shape run has none and must revoke no busy
+    // lease; a nonzero count means ready tasks stopped riding the leases and
+    // are tearing down hot pipelines again.
     if (leased.leases_revoked_busy != 0) {
       std::fprintf(stderr,
-                   "smoke FAIL: %llu busy leases revoked under steady load - dwell gate broken\n",
+                   "smoke FAIL: %llu busy leases revoked under steady load - ready tasks "
+                   "are not riding the leases\n",
                    static_cast<unsigned long long>(leased.leases_revoked_busy));
       return 1;
     }

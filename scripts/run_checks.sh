@@ -32,24 +32,30 @@
 #      src/common/metrics.{h,cc}. Every percentile comes from ray::Histogram,
 #      so there is one definition of it and no sample store to sort.
 #      perfbench/ keeps its own helper and is not scanned.
-#   7. Clang thread-safety analysis: build the tidy preset with
+#   7. Lease gate: nothing in src/ outside src/scheduler/ names
+#      WorkerLease, RequestLease, SubmitOnLease or ReturnLease. The local
+#      scheduler owns every lease and picks the one a task rides
+#      (LocalScheduler::SubmitDirect for the direct transport, TryDispatch
+#      for ready tasks), so there is one lease table, and the pressure and
+#      revocation decisions see every lease.
+#   8. Clang thread-safety analysis: build the tidy preset with
 #      -Wthread-safety -Wthread-safety-beta as errors. Loud skip when clang
 #      is not installed (gcc-only containers).
-#   8. clang-tidy lint (scripts/run_lint.sh; loud skip without clang-tidy).
-#   9. Lockdep soak: debug build (NDEBUG unset => runtime lock-order checker
+#   9. clang-tidy lint (scripts/run_lint.sh; loud skip without clang-tidy).
+#  10. Lockdep soak: debug build (NDEBUG unset => runtime lock-order checker
 #      compiled in), full ctest suite plus the seeded chaos soak. Any cycle
 #      in the lock-order graph aborts with both acquisition stacks.
 #
 # Usage: run_checks.sh [quick]
-#   quick — grep gates only (checks 1-6); used by run_tier1.sh so every CI
+#   quick — grep gates only (checks 1-7); used by run_tier1.sh so every CI
 #   run enforces the annotation discipline even without clang or a debug
-#   build. The full nine-gate run is the pre-merge bar.
+#   build. The full ten-gate run is the pre-merge bar.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 MODE="${1:-full}"
 
-echo "== check 1/9: raw sync primitives outside common/sync.h =="
+echo "== check 1/10: raw sync primitives outside common/sync.h =="
 # Strip // comments before matching so prose mentioning std::mutex (e.g. the
 # layout notes in lockdep.h) doesn't trip the gate.
 raw_hits=$(grep -rnE 'std::(mutex|shared_mutex|lock_guard|unique_lock|shared_lock|condition_variable(_any)?)' \
@@ -65,7 +71,7 @@ if [[ -n "$raw_hits" ]]; then
 fi
 echo "OK: all locking goes through ray::Mutex / ray::SharedMutex"
 
-echo "== check 2/9: NO_THREAD_SAFETY_ANALYSIS budget =="
+echo "== check 2/10: NO_THREAD_SAFETY_ANALYSIS budget =="
 nts_hits=$(grep -rn 'NO_THREAD_SAFETY_ANALYSIS' src/ --include='*.h' --include='*.cc' \
   | grep -v '^src/common/sync\.h:' || true)
 nts_count=$(printf '%s' "$nts_hits" | grep -c . || true)
@@ -85,7 +91,7 @@ while IFS=: read -r file line _; do
 done <<< "$nts_hits"
 echo "OK: $nts_count/5 escape hatches, all justified"
 
-echo "== check 3/9: raw time / randomness primitives outside src/common/ =="
+echo "== check 3/10: raw time / randomness primitives outside src/common/ =="
 # Everything that observes wall-clock time, sleeps, or draws entropy must go
 # through the hookable seams in src/common/ (clock.h NowMicros/SleepMicros,
 # random.h Rng) so deterministic-schedule testing (common/dst.h) can virtualise
@@ -124,7 +130,7 @@ if [[ -n "$spin_hits" ]]; then
 fi
 echo "OK: all time and entropy flows through the hookable seams in src/common/, no spin waits"
 
-echo "== check 4/9: every runtime option has a caller =="
+echo "== check 4/10: every runtime option has a caller =="
 # Prints `header: Struct::field` for each field nobody assigns; the last line
 # is the count of settable values.
 option_report=$(perl - <<'PERL'
@@ -179,7 +185,7 @@ if [[ -n "$option_unset" ]]; then
 fi
 echo "OK: $option_summary"
 
-echo "== check 5/9: one lineage writer =="
+echo "== check 5/10: one lineage writer =="
 lineage_hits=$(grep -rnE '\b(tasks|objects|actors)\s*(\.|->)\s*(AddTask|RecordCreatingTask|AppendMethod|RegisterActor)(Async)?\s*\(' \
   src/ --include='*.h' --include='*.cc' \
   | grep -v '^src/gcs/' \
@@ -193,7 +199,7 @@ if [[ -n "$lineage_hits" ]]; then
 fi
 echo "OK: lineage is written only by LineageBuffer"
 
-echo "== check 6/9: one histogram =="
+echo "== check 6/10: one histogram =="
 # A definition is a type, then a name containing "percentile", then "(" (or
 # "auto name = [" for a lambda); calls through ".", "->" or "=" do not match.
 pct_hits=$({
@@ -213,12 +219,24 @@ if [[ -n "$pct_hits" ]]; then
 fi
 echo "OK: every percentile comes from ray::Histogram"
 
+echo "== check 7/10: one lease table =="
+lease_hits=$(grep -rnwE 'WorkerLease|RequestLease|SubmitOnLease|ReturnLease' \
+  src/ --include='*.h' --include='*.cc' \
+  | grep -v '^src/scheduler/' || true)
+if [[ -n "$lease_hits" ]]; then
+  echo "FAIL: worker leases named outside src/scheduler/:" >&2
+  echo "$lease_hits" >&2
+  echo "Submit through LocalScheduler::SubmitDirect; the scheduler picks the lease." >&2
+  exit 1
+fi
+echo "OK: only the local scheduler holds worker leases"
+
 if [[ "$MODE" == "quick" ]]; then
   echo "run_checks: quick mode — grep gates passed (run without 'quick' for the full bar)"
   exit 0
 fi
 
-echo "== check 7/9: clang thread-safety analysis (tidy preset) =="
+echo "== check 8/10: clang thread-safety analysis (tidy preset) =="
 if command -v clang++ >/dev/null 2>&1; then
   cmake --preset tidy >/dev/null
   cmake --build --preset tidy -j"$(nproc)"
@@ -228,10 +246,10 @@ else
   echo "Install LLVM (clang) to verify GUARDED_BY/REQUIRES annotations compile-time." >&2
 fi
 
-echo "== check 8/9: clang-tidy lint =="
+echo "== check 9/10: clang-tidy lint =="
 ./scripts/run_lint.sh
 
-echo "== check 9/9: lockdep soak (debug build) =="
+echo "== check 10/10: lockdep soak (debug build) =="
 cmake --preset debug >/dev/null
 cmake --build --preset debug -j"$(nproc)"
 ctest --test-dir build-debug --output-on-failure -j"$(nproc)"

@@ -32,8 +32,8 @@ RAY_BENCH_JSON_DIR=build ./build/bench/bench_object_store --smoke
 
 # Submit-path smoke check: one leased-vs-routed small-task pair; exits nonzero
 # if the direct transport path carried zero tasks (leasing silently disabled),
-# if lease-pressure revocation churned (revoked > granted), or if the dwell
-# gate let busy leases be revoked under steady load.
+# if lease-pressure revocation churned (revoked > granted), or if busy leases
+# were revoked under steady load (ready tasks ride leases of their shape).
 RAY_BENCH_JSON_DIR=build ./build/bench/bench_scalability --smoke
 
 # Fiber-runtime density smoke: 10k actors resident on one node as parked

@@ -1,8 +1,8 @@
 // Direct task transport: the steady-state submit path that keeps the
-// scheduler off the per-task critical path. A caller-side transport (one per
-// node) leases workers from its local scheduler by resource shape, then
-// pipelines dependency-satisfied plain tasks straight into the leased
-// worker's queue — no per-task scheduler hop and no wait on the GCS. Every
+// scheduler queue off the per-task critical path. A caller-side transport
+// (one per node) hands dependency-satisfied plain tasks to its local
+// scheduler's SubmitDirect, which pipelines them straight into a leased
+// worker's queue — no ready-queue hop and no wait on the GCS. Every
 // task is recorded in this node's LineageBuffer before it is offered here,
 // and an executor on the lease completes it only once the record is
 // durable. Anything the fast path cannot take — actor tasks, tasks with
@@ -11,22 +11,15 @@
 // may run on another node) and is also how submission spills back to the
 // global scheduler when this node is saturated.
 //
-// Leases are cached per shape and renewed by use; the pool grows (up to the
-// node's CPU count) while every cached lease is busy, so pipelining provides
-// depth and extra leases provide parallel workers. The scheduler revokes
-// leases on idle timeout, under pressure from queued tasks, and on
-// shutdown/death; the transport lazily prunes revoked leases and re-requests.
+// The scheduler owns the leases and picks one per task (the least-loaded of
+// the task's shape, growing up to the node's CPU count while all are busy);
+// it revokes them on idle timeout, under pressure from ready tasks no lease
+// can carry, and on shutdown/death.
 #ifndef RAY_RUNTIME_DIRECT_TRANSPORT_H_
 #define RAY_RUNTIME_DIRECT_TRANSPORT_H_
 
 #include <atomic>
-#include <memory>
-#include <string>
-#include <unordered_map>
-#include <vector>
 
-#include "common/id.h"
-#include "common/sync.h"
 #include "objectstore/object_store.h"
 #include "runtime/lineage_buffer.h"
 #include "scheduler/local_scheduler.h"
@@ -37,9 +30,7 @@ namespace ray {
 class DirectTaskTransport {
  public:
   // The fast path is on when `scheduler` has leasing enabled.
-  DirectTaskTransport(const NodeId& node, LocalScheduler* scheduler, ObjectStore* store,
-                      gcs::GcsTables* tables);
-  ~DirectTaskTransport();
+  DirectTaskTransport(LocalScheduler* scheduler, ObjectStore* store, gcs::GcsTables* tables);
 
   DirectTaskTransport(const DirectTaskTransport&) = delete;
   DirectTaskTransport& operator=(const DirectTaskTransport&) = delete;
@@ -49,9 +40,9 @@ class DirectTaskTransport {
   // the task classically, once its record is durable.
   bool TrySubmit(const TaskSpec& spec);
 
-  // Returns all cached leases and refuses further TrySubmits. Called on
-  // node kill/teardown; idempotent.
-  void Shutdown();
+  // Refuses further TrySubmits; the scheduler's Shutdown releases the
+  // leases. Called on node kill/teardown; idempotent.
+  void Shutdown() { shutdown_.store(true, std::memory_order_release); }
 
   uint64_t NumDirectSubmits() const { return direct_submits_.load(std::memory_order_relaxed); }
   uint64_t NumFallbacks() const { return fallbacks_.load(std::memory_order_relaxed); }
@@ -62,23 +53,10 @@ class DirectTaskTransport {
   LineageBuffer& lineage() { return lineage_; }
 
  private:
-  // Picks the least-loaded cached lease for `shape`, pruning revoked ones
-  // and growing the pool while all are busy. Null when nothing is grantable.
-  std::shared_ptr<WorkerLease> LeaseFor(const ResourceSet& shape);
-  static std::string ShapeKey(const ResourceSet& shape);
-
-  NodeId node_;
   LocalScheduler* scheduler_;
   ObjectStore* store_;
-  // Leases cached per resource shape: the node's CPU count, so one lease per
-  // worker keeps all CPUs reachable through the fast path.
-  size_t max_leases_per_shape_;
   LineageBuffer lineage_;
   std::atomic<bool> shutdown_{false};
-
-  Mutex mu_{"DirectTaskTransport.mu"};
-  std::unordered_map<std::string, std::vector<std::shared_ptr<WorkerLease>>> leases_
-      GUARDED_BY(mu_);
 
   std::atomic<uint64_t> direct_submits_{0};
   std::atomic<uint64_t> fallbacks_{0};

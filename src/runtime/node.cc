@@ -50,8 +50,7 @@ Node::Node(const RuntimeContext* rt, const LocalSchedulerConfig& scheduler_confi
   store_ = std::make_unique<ObjectStore>(id_, rt_->tables, rt_->net, store_config, rt_->liveness);
   scheduler_ = std::make_unique<LocalScheduler>(id_, rt_->tables, rt_->net, store_.get(),
                                                 rt_->global, scheduler_config, rt_->liveness);
-  transport_ =
-      std::make_unique<DirectTaskTransport>(id_, scheduler_.get(), store_.get(), rt_->tables);
+  transport_ = std::make_unique<DirectTaskTransport>(scheduler_.get(), store_.get(), rt_->tables);
 }
 
 Node::~Node() {

@@ -16,12 +16,6 @@ namespace {
 // death), so a task placed here against stale heartbeats may otherwise never
 // run even while other tasks keep the node busy.
 constexpr int64_t kStrandedRescueUs = 200'000;
-// Damping for pressure-driven revocation of BUSY leases: when ready tasks
-// are starved and no idle lease exists, a busy lease is revoked only after
-// scheduler pressure has persisted this long. A transient ready-queue blip
-// (e.g. a burst that the next dispatch round absorbs) must not tear down a
-// hot pipelined lease, which would thrash grant/revoke under load.
-constexpr int64_t kLeasePressureDwellUs = 60'000;
 
 // Locks `mu`, recording the wait in `wait_ema` (microseconds) only when the
 // lock was contended — uncontended acquisitions stay on the fast path.
@@ -56,6 +50,7 @@ LocalScheduler::LocalScheduler(const NodeId& node, gcs::GcsTables* tables, SimNe
       config_(config),
       liveness_(liveness),
       available_(config.total_resources),
+      lease_cap_(std::max<size_t>(1, static_cast<size_t>(config.total_resources.Get("CPU")))),
       // Constructed here, not in Start(): Node spawns actor fibers onto
       // fibers() before/independently of Start, and membership callbacks
       // (OnPeerDeath) can reach a scheduler that is registered but not yet
@@ -167,8 +162,10 @@ Status LocalScheduler::Submit(const TaskSpec& spec) {
     MutexLock lock(dispatch_mu_);
     // Resources currently held by actors never come back (Section 4.2.2), so
     // "cannot satisfy the task's requirements" must consider availability,
-    // not just the node's nominal capacity.
-    available_now = available_.Contains(demand);
+    // not just the node's nominal capacity. Leased CPUs do come back, and a
+    // plain task rides a lease of its shape once it is ready (TryDispatch).
+    available_now = available_.Contains(demand) ||
+                    (!spec.IsActorCreation() && PickLeaseLocked(demand) != nullptr);
   }
   bool overloaded = QueueLength() >= config_.spillover_queue_threshold;
   if (!config_.always_forward_to_global && available_now && !overloaded) {
@@ -437,11 +434,14 @@ void LocalScheduler::OnObjectLocal(const ObjectId& object) {
 void LocalScheduler::TryDispatch() {
   // Scan the ready queue for the first tasks whose demands fit; FIFO among
   // fitting tasks. Actor methods bypass resource gating (their actor already
-  // holds resources) and go straight to the actor mailbox. The handoff to
-  // workers / mailboxes happens after dispatch_mu_ is released so a slow
+  // holds resources) and go straight to the actor mailbox. A plain task that
+  // does not fit rides a lease of its shape; actor creations never do, since
+  // they hold their resources for the actor's life. The handoff to workers /
+  // leases / mailboxes happens after dispatch_mu_ is released so a slow
   // mailbox never stalls dependency resolution or Submit.
   std::vector<ReadyTask> to_workers;
   std::vector<ReadyTask> to_actors;
+  std::vector<std::pair<ReadyTask, std::shared_ptr<WorkerLease>>> to_leases;
   {
     TimedMutexLock lock(dispatch_mu_, ControlPlaneMetrics::Instance().dispatch_lock_wait_us);
     for (auto it = ready_.begin(); it != ready_.end();) {
@@ -452,17 +452,22 @@ void LocalScheduler::TryDispatch() {
         continue;
       }
       ResourceSet demand = EffectiveDemand(spec);
+      std::shared_ptr<WorkerLease> lease;
       if (available_.Contains(demand)) {
         available_.Subtract(demand);
         running_.fetch_add(1, std::memory_order_relaxed);
         to_workers.push_back(std::move(*it));
+        it = ready_.erase(it);
+      } else if (!spec.IsActorCreation() && (lease = PickLeaseLocked(demand)) != nullptr) {
+        to_leases.emplace_back(std::move(*it), std::move(lease));
         it = ready_.erase(it);
       } else {
         ++it;
       }
     }
   }
-  num_ready_.fetch_sub(to_workers.size() + to_actors.size(), std::memory_order_relaxed);
+  num_ready_.fetch_sub(to_workers.size() + to_actors.size() + to_leases.size(),
+                       std::memory_order_relaxed);
   // Queue-time spans are emitted outside dispatch_mu_ — the tracer is
   // wait-free but there is no reason to hold the lock across it.
   auto& tracer = trace::Tracer::Instance();
@@ -480,6 +485,26 @@ void LocalScheduler::TryDispatch() {
                   ready.spec.id, ObjectId(), node_);
     }
     dispatch_queue_.Push({std::move(ready.spec), nullptr});
+  }
+  // A lease refuses when it was revoked or filled since the pick; its task
+  // goes back to the head of the ready queue, in order, and retries at the
+  // next dispatch or rescue tick.
+  std::vector<ReadyTask> refused;
+  for (auto& [ready, lease] : to_leases) {
+    if (!SubmitOnLease(lease, ready.spec)) {
+      refused.push_back(std::move(ready));
+    } else if (tracer.ShouldRecordTask(ready.spec.id)) {
+      tracer.Emit(trace::Stage::kQueue, ready.ready_at_us, now - ready.ready_at_us,
+                  ready.spec.id, ObjectId(), node_);
+    }
+  }
+  if (!refused.empty()) {
+    {
+      TimedMutexLock lock(dispatch_mu_, ControlPlaneMetrics::Instance().dispatch_lock_wait_us);
+      ready_.insert(ready_.begin(), std::make_move_iterator(refused.begin()),
+                    std::make_move_iterator(refused.end()));
+    }
+    num_ready_.fetch_add(refused.size(), std::memory_order_relaxed);
   }
 }
 
@@ -536,6 +561,55 @@ void LocalScheduler::FinishTask(const TaskSpec& spec, double duration_s) {
 // A submit that raced past the first revoked check re-checks after its
 // increment and undoes itself through the same finish protocol.
 
+bool LocalScheduler::SubmitDirect(const TaskSpec& spec) {
+  std::shared_ptr<WorkerLease> lease = ChooseLease(EffectiveDemand(spec));
+  if (lease == nullptr) {
+    return false;
+  }
+  trace::Span span(trace::Stage::kDirectSubmit, spec.id, ObjectId(), node_);
+  return SubmitOnLease(lease, spec);
+}
+
+std::shared_ptr<WorkerLease> LocalScheduler::PickLeaseLocked(const ResourceSet& shape,
+                                                             size_t* live) {
+  const std::shared_ptr<WorkerLease>* best = nullptr;
+  int64_t best_depth = 0;
+  size_t count = 0;
+  for (const auto& [id, lease] : leases_) {
+    if (lease->revoked.load(std::memory_order_relaxed) || !(lease->shape == shape)) {
+      continue;
+    }
+    ++count;
+    int64_t depth = lease->inflight.load(std::memory_order_relaxed);
+    if (depth < static_cast<int64_t>(lease->max_inflight) &&
+        (best == nullptr || depth < best_depth)) {
+      best = &lease;
+      best_depth = depth;
+    }
+  }
+  if (live != nullptr) {
+    *live = count;
+  }
+  return best != nullptr ? *best : nullptr;
+}
+
+std::shared_ptr<WorkerLease> LocalScheduler::ChooseLease(const ResourceSet& shape) {
+  std::shared_ptr<WorkerLease> best;
+  size_t live = 0;
+  {
+    TimedMutexLock lock(dispatch_mu_, ControlPlaneMetrics::Instance().dispatch_lock_wait_us);
+    best = PickLeaseLocked(shape, &live);
+  }
+  // Grow while every lease of this shape is busy: pipelining gives depth on
+  // one worker, extra leases give parallel workers.
+  if ((best != nullptr && best->inflight.load(std::memory_order_relaxed) == 0) ||
+      live >= lease_cap_) {
+    return best;
+  }
+  std::shared_ptr<WorkerLease> fresh = RequestLease(shape);
+  return fresh != nullptr ? fresh : best;  // denied: run with what there is
+}
+
 std::shared_ptr<WorkerLease> LocalScheduler::RequestLease(const ResourceSet& shape_in) {
   if (!config_.enable_leasing || config_.always_forward_to_global ||
       shutdown_.load(std::memory_order_relaxed)) {
@@ -572,8 +646,25 @@ bool LocalScheduler::SubmitOnLease(const std::shared_ptr<WorkerLease>& lease,
     return false;
   }
   int64_t depth = lease->inflight.fetch_add(1, std::memory_order_seq_cst);
-  if (depth >= static_cast<int64_t>(lease->max_inflight) ||
-      lease->revoked.load(std::memory_order_seq_cst)) {
+  bool accepted = false;
+  bool need_token = false;
+  if (depth < static_cast<int64_t>(lease->max_inflight)) {
+    MutexLock lock(lease->mu);
+    // Re-checked under mu: a blocked worker revokes its lease and then drains
+    // the pipeline under mu, so a task pushed from any thread is either
+    // drained with the rest or refused here, never left behind the blocked
+    // head it may be the input of.
+    if (!lease->revoked.load(std::memory_order_seq_cst)) {
+      lease->pipeline.push_back(spec);
+      leased_inflight_.fetch_add(1, std::memory_order_relaxed);
+      accepted = true;
+      if (!lease->active) {
+        lease->active = true;
+        need_token = true;
+      }
+    }
+  }
+  if (!accepted) {
     if (lease->inflight.fetch_sub(1, std::memory_order_seq_cst) == 1 &&
         lease->revoked.load(std::memory_order_seq_cst)) {
       MaybeReleaseLease(lease);
@@ -581,16 +672,6 @@ bool LocalScheduler::SubmitOnLease(const std::shared_ptr<WorkerLease>& lease,
     return false;
   }
   lease->last_used_us.store(NowMicros(), std::memory_order_relaxed);
-  leased_inflight_.fetch_add(1, std::memory_order_relaxed);
-  bool need_token = false;
-  {
-    MutexLock lock(lease->mu);
-    lease->pipeline.push_back(spec);
-    if (!lease->active) {
-      lease->active = true;
-      need_token = true;
-    }
-  }
   if (need_token && !dispatch_queue_.Push({TaskSpec(), lease})) {
     // Shutdown raced the submit; the task is stranded in the pipeline like
     // any queued work when a node stops (crash-stop). Refuse so the caller
@@ -654,10 +735,8 @@ std::vector<TaskSpec> LocalScheduler::NotifyWorkerBlocked() {
   }
   const std::shared_ptr<WorkerLease>& lease = *slot;
   // Revoke first so new submits are refused, then drain what already queued
-  // behind the (about to block) head. A submit racing the revocation can
-  // still slip one task in after the drain; it is not lost — it runs when
-  // the head unblocks — and it cannot be a task the head is waiting on,
-  // because a task submits all its children before it blocks on them.
+  // behind the (about to block) head. SubmitOnLease checks the revocation
+  // under the same mutex, so nothing lands in the pipeline after the drain.
   if (!lease->revoked.exchange(true, std::memory_order_seq_cst)) {
     leases_revoked_.fetch_add(1, std::memory_order_relaxed);
   }
@@ -798,9 +877,7 @@ void LocalScheduler::HeartbeatLoop() {
             num_ready_.load(std::memory_order_relaxed) ==
         0) {
       // Every part of the rescue needs a waiting or a ready task, so an idle
-      // node does not wake its fetch pool; no ready task also means no
-      // pressure.
-      lease_pressure_since_us_.store(0, std::memory_order_relaxed);
+      // node does not wake its fetch pool.
       continue;
     }
     // Rescue runs off-thread: re-forwarding to the global scheduler can block
@@ -820,6 +897,10 @@ void LocalScheduler::HeartbeatLoop() {
 }
 
 void LocalScheduler::RescueStrandedTasks() {
+  // A ready task a lease refused (revoked or full since the pick) retries on
+  // every tick.
+  TryDispatch();
+
   // Retry fetches for every object this node is still blocked on: the
   // subscription-driven path misses producers that died without publishing,
   // and FetchJob's lineage check (above) is what detects those.
@@ -835,79 +916,53 @@ void LocalScheduler::RescueStrandedTasks() {
     fetch_pool_->Submit([this, object] { FetchJob(object); });
   }
 
-  // Pressure revocation: queued ready tasks have first claim on resources.
-  // Revocation is cooperative (pipelined tasks still run) and the drain
-  // returns the shape to available_, which may let the stranded tasks below
-  // dispatch here instead of being re-forwarded. Revoke idle leases (nothing
-  // in flight) first: they free their shape immediately and cost the holder
-  // nothing. Busy leases are revoked only when there were no idle ones to
-  // take — reclaiming every lease on any pressure tick made mixed
-  // leased/routed workloads oscillate (grant, revoke, re-grant) even when a
-  // single idle lease held the resources the ready queue needed. Pressure
-  // that persists past the idle reclaim escalates on the next tick, when the
-  // idle set is empty.
-  if (num_ready_.load(std::memory_order_relaxed) > 0) {
-    std::vector<std::shared_ptr<WorkerLease>> idle;
-    std::vector<std::shared_ptr<WorkerLease>> busy;
-    {
-      MutexLock lock(dispatch_mu_);
-      for (const auto& [id, lease] : leases_) {
-        if (lease->revoked.load(std::memory_order_relaxed)) {
-          continue;
-        }
-        if (lease->inflight.load(std::memory_order_relaxed) == 0) {
-          idle.push_back(lease);
-        } else {
-          busy.push_back(lease);
-        }
+  // Pressure revocation: a ready task that neither fits available_ nor rides
+  // a lease (another shape, or an actor creation) has first claim on the
+  // leased resources. Revocation is cooperative (pipelined tasks still run)
+  // and the drain returns the shape to available_, which lets the task
+  // dispatch here instead of being re-forwarded. Idle leases go first: they
+  // free their shape at once and cost the holder nothing. Busy ones go only
+  // when no idle one was left.
+  std::vector<std::shared_ptr<WorkerLease>> idle;
+  std::vector<std::shared_ptr<WorkerLease>> busy;
+  {
+    MutexLock lock(dispatch_mu_);
+    bool pressure = false;
+    for (const ReadyTask& ready : ready_) {
+      ResourceSet demand = EffectiveDemand(ready.spec);
+      if (!ready.spec.IsActorTask() && !available_.Contains(demand) &&
+          (ready.spec.IsActorCreation() || PickLeaseLocked(demand) == nullptr)) {
+        pressure = true;
+        break;
       }
     }
-    if (!idle.empty()) {
-      // Idle reclaim costs the holder nothing and usually relieves the
-      // pressure; restart the dwell clock so a later busy escalation needs
-      // the pressure to persist past this relief too.
-      lease_pressure_since_us_.store(0, std::memory_order_relaxed);
-      for (auto& lease : idle) {
-        RevokeLease(lease);
-      }
-    } else if (!busy.empty()) {
-      // Hysteresis (damping): tearing down a busy lease cancels a hot
-      // pipeline, so require the starvation to persist for a dwell window
-      // instead of escalating on the first tick. A steady leased workload
-      // with transient ready-queue blips never reaches the revocation.
-      const int64_t now = NowMicros();
-      int64_t since = lease_pressure_since_us_.load(std::memory_order_relaxed);
-      if (since == 0) {
-        lease_pressure_since_us_.compare_exchange_strong(since, now,
-                                                         std::memory_order_relaxed);
-        since = lease_pressure_since_us_.load(std::memory_order_relaxed);
-      }
-      if (since != 0 && now - since >= kLeasePressureDwellUs) {
-        lease_pressure_since_us_.store(0, std::memory_order_relaxed);
-        for (auto& lease : busy) {
-          leases_revoked_busy_.fetch_add(1, std::memory_order_relaxed);
-          RevokeLease(lease);
-        }
+    for (const auto& [id, lease] : leases_) {
+      if (pressure && !lease->revoked.load(std::memory_order_relaxed)) {
+        (lease->inflight.load(std::memory_order_relaxed) == 0 ? idle : busy).push_back(lease);
       }
     }
-  } else {
-    // No starved ready tasks this tick: pressure was transient, reset.
-    lease_pressure_since_us_.store(0, std::memory_order_relaxed);
+  }
+  if (idle.empty()) {
+    leases_revoked_busy_.fetch_add(busy.size(), std::memory_order_relaxed);
+  }
+  for (auto& lease : idle.empty() ? busy : idle) {
+    RevokeLease(lease);
   }
 
   // Liveness backstop: a task placed here against stale heartbeats may need
   // more than this node can ever free — actor creations hold resources until
   // node death, so availability shrinks permanently. Re-forward a ready task
   // whose demand exceeds current availability once it has waited out
-  // kStrandedRescueUs (immediately when nothing is running: with running_
-  // == 0 no release is coming at all).
+  // kStrandedRescueUs (immediately when nothing runs here: with no classic
+  // and no leased task in flight no release is coming at all).
   std::vector<TaskSpec> stranded;
   {
     MutexLock lock(dispatch_mu_);
-    bool idle = running_.load(std::memory_order_relaxed) == 0;
+    bool idle_node = running_.load(std::memory_order_relaxed) == 0 &&
+                     leased_inflight_.load(std::memory_order_relaxed) == 0;
     int64_t now = NowMicros();
     for (auto it = ready_.begin(); it != ready_.end();) {
-      bool overdue = idle || now - it->ready_at_us >= kStrandedRescueUs;
+      bool overdue = idle_node || now - it->ready_at_us >= kStrandedRescueUs;
       if (overdue && !it->spec.IsActorTask() &&
           !available_.Contains(EffectiveDemand(it->spec))) {
         stranded.push_back(std::move(it->spec));

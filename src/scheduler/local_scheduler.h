@@ -12,7 +12,10 @@
 // cluster the scheduler starts an asynchronous pull into the local store
 // (ObjectStore::PullAsync — completion arrives as a callback, no fetch
 // thread is parked per transfer), and tasks whose inputs are all local
-// become ready. Dispatch is resource-gated (CPU/GPU).
+// become ready. Dispatch is resource-gated (CPU/GPU). In steady state the
+// node's CPUs are held by worker leases (direct transport), so a plain task
+// "fits here" also when a lease of its shape has pipeline room, and dispatch
+// then puts it on that lease instead of waiting for a revocation.
 //
 // Locking (control-plane fast path PR): the old single big lock is split in
 // two so dependency resolution and dispatch do not serialize against each
@@ -90,15 +93,19 @@ struct LocalSchedulerConfig {
 // resources at grant time and comes back when the lease is released. Tasks
 // pipelined onto the lease run serially, in submission order, on one worker
 // thread at a time — a lease models one worker, the way production Ray's
-// direct task transport leases a worker process. Lifecycle:
+// direct task transport leases a worker process. The scheduler owns every
+// lease and picks which one a task rides (LocalScheduler::ChooseLease), for
+// direct submits and for ready tasks alike. Lifecycle:
 //
 //   granted ──SubmitOnLease*──> active ──idle / pressure / return / death──> revoked
 //          revoked && inflight drained ──> released (resources back, erased)
 //
-// Revocation is cooperative: tasks already pipelined still run; new submits
-// are refused. The release handshake is lock-free — whoever observes
-// "revoked && inflight == 0" claims the release via `released` (see
-// LocalScheduler::SubmitOnLease / ReturnLease for the seq_cst protocol).
+// Pressure is a ready task that neither fits the free resources nor rides a
+// lease (another shape, or an actor creation). Revocation is cooperative:
+// tasks already pipelined still run; new submits are refused. The release
+// handshake is lock-free — whoever observes "revoked && inflight == 0"
+// claims the release via `released` (see LocalScheduler::SubmitOnLease /
+// ReturnLease for the seq_cst protocol).
 struct WorkerLease {
   uint64_t id = 0;
   ResourceSet shape;
@@ -140,8 +147,10 @@ class LocalScheduler {
   void Start(Executor executor, ActorDispatcher actor_dispatcher);
   void Shutdown();
 
-  // Bottom-up entry point for tasks created on this node. Writes no task
-  // state: the task's lineage record already names this node as holding it.
+  // Bottom-up entry point for tasks created on this node. Keeps the task here
+  // when available_ fits it or a lease of its shape has room (leases hold the
+  // node's CPUs in steady state, so counting only available_ would spill it).
+  // Writes no task state: the task's lineage record already names this node.
   Status Submit(const TaskSpec& spec);
   // Entry point for tasks placed here by the global scheduler or routed here
   // because this node hosts the target actor; never spills. Records in the
@@ -150,6 +159,10 @@ class LocalScheduler {
   void SubmitPlaced(const TaskSpec& spec);
 
   // --- direct task transport (worker leasing) ---
+  // Pipelines a dependency-satisfied plain task onto the lease ChooseLease
+  // picks for its demand. False when no lease can take it — the caller then
+  // routes the task classically.
+  bool SubmitDirect(const TaskSpec& spec);
   // Grants a lease carving `shape` out of this node's available resources.
   // Null when leasing is disabled, the node is shutting down, tasks are
   // already waiting for resources (leases must not starve them), or the
@@ -173,8 +186,9 @@ class LocalScheduler {
   size_t NumActiveLeases() const;
   uint64_t NumLeasesGranted() const { return leases_granted_.load(std::memory_order_relaxed); }
   uint64_t NumLeasesRevoked() const { return leases_revoked_.load(std::memory_order_relaxed); }
-  // Subset of NumLeasesRevoked: busy leases torn down by sustained scheduler
-  // pressure (the dwell-gated path). Steady workloads should keep this at 0.
+  // Subset of NumLeasesRevoked: busy leases torn down by pressure when no
+  // idle lease was left to take. Ready tasks of a lease's shape ride it, so a
+  // steady same-shape workload keeps this at 0.
   uint64_t NumBusyLeasesRevoked() const {
     return leases_revoked_busy_.load(std::memory_order_relaxed);
   }
@@ -221,9 +235,18 @@ class LocalScheduler {
   };
 
   void Enqueue(const TaskSpec& spec);
-  // Moves ready tasks to workers / actor mailboxes while resources allow.
-  // Takes dispatch_mu_ internally; the handoff itself runs unlocked.
+  // Moves ready tasks to workers / actor mailboxes while resources allow, and
+  // a plain task that does not fit onto a lease of its shape. Takes
+  // dispatch_mu_ internally; the handoff itself runs unlocked.
   void TryDispatch();
+  // The one lease chooser: the least-loaded live lease of exactly `shape`
+  // with pipeline room, or a fresh grant while every such lease is busy and
+  // fewer than lease_cap_ exist. Null when nothing can carry the task.
+  std::shared_ptr<WorkerLease> ChooseLease(const ResourceSet& shape);
+  // ChooseLease without the grant; `live` (optional) receives the number of
+  // unrevoked leases of `shape`.
+  std::shared_ptr<WorkerLease> PickLeaseLocked(const ResourceSet& shape, size_t* live = nullptr)
+      REQUIRES(dispatch_mu_);
   // Marks `object` locally available; promotes tasks waiting on it.
   void OnObjectLocal(const ObjectId& object);
   // Ensures a subscription + fetch attempt exists for `object`.
@@ -290,6 +313,9 @@ class LocalScheduler {
   // Live (granted, not yet released) worker leases.
   std::unordered_map<uint64_t, std::shared_ptr<WorkerLease>> leases_ GUARDED_BY(dispatch_mu_);
   uint64_t next_lease_id_ GUARDED_BY(dispatch_mu_) = 1;
+  // Unrevoked leases per shape that ChooseLease grows to: the node's CPU
+  // count, so one lease per worker keeps every CPU reachable.
+  const size_t lease_cap_;
 
   // Lock-free queue accounting so Submit / heartbeats never take a lock.
   std::atomic<size_t> num_waiting_{0};
@@ -301,11 +327,6 @@ class LocalScheduler {
   std::atomic<uint64_t> leases_granted_{0};
   std::atomic<uint64_t> leases_revoked_{0};
   std::atomic<uint64_t> leases_revoked_busy_{0};
-  // When the pressure condition (ready tasks starved, num_ready_ > 0 with no
-  // grantable resources) was first observed by the rescue pass; 0 = not under
-  // pressure. Gates busy-lease revocation on a dwell window (satellite of the
-  // fiber PR: revocation hysteresis).
-  std::atomic<int64_t> lease_pressure_since_us_{0};
 
   BlockingQueue<DispatchItem> dispatch_queue_;
   // Worker loops are fibers on fibers_'s carrier threads, not OS threads: a

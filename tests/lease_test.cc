@@ -1,6 +1,8 @@
 // Lease lifecycle edge cases for the direct task transport: revocation with
 // tasks still pipelined, lease-holder death mid-submit, renewal racing the
-// idle-timeout reaper, spillback when every worker is leased, the
+// idle-timeout reaper, spillback when every worker is leased, ready tasks
+// riding the node's leases (exactly once, under churn, without revoking
+// them), the stranded-task backstop on a fully leased node, the
 // async-lineage durability invariant (outputs never visible before the
 // producing task's lineage is durable), and the async completion chain
 // (a finished task frees its worker at once; kDone commits before a result
@@ -12,13 +14,17 @@
 #include <cstdlib>
 #include <functional>
 #include <limits>
+#include <string>
 #include <thread>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "common/clock.h"
+#include "common/sync.h"
 #include "runtime/api.h"
 #include "scheduler/local_scheduler.h"
+#include "trace/trace.h"
 
 namespace ray {
 namespace {
@@ -29,6 +35,18 @@ TaskSpec MakeTask(const ResourceSet& resources = {}) {
   spec.function_name = "noop";
   spec.resources = resources;
   return spec;
+}
+
+// Waits (bounded) until `done()` holds; returns whether it did.
+bool WaitFor(const std::function<bool()>& done, int64_t timeout_us = 30'000'000) {
+  int64_t deadline = NowMicros() + timeout_us;
+  while (!done()) {
+    if (NowMicros() >= deadline) {
+      return false;
+    }
+    SleepMicros(500);
+  }
+  return true;
 }
 
 // --- scheduler-level: one LocalScheduler driven directly -------------------
@@ -52,11 +70,27 @@ class LeaseSchedulerTest : public ::testing::Test {
     tables_->nodes.RegisterNode(node_);
     scheduler_->Start(
         [this](const TaskSpec& spec) {
+          // A "hold" task keeps its worker until the test lets it go.
+          while (spec.function_name == "hold" && !release_holds_.load()) {
+            SleepMicros(200);
+          }
           SleepMicros(exec_sleep_us_.load());
+          {
+            MutexLock lock(runs_mu_);
+            ++runs_[spec.id];
+          }
           executed_.fetch_add(1);
           store_->Put(spec.ReturnId(0), std::make_shared<Buffer>());
         },
         [](const TaskSpec&) {});
+  }
+
+  void TearDown() override { release_holds_.store(true); }
+
+  int RunsOf(const TaskId& task) {
+    MutexLock lock(runs_mu_);
+    auto it = runs_.find(task);
+    return it == runs_.end() ? 0 : it->second;
   }
 
   void WaitExecuted(int n, int64_t timeout_us = 5'000'000) {
@@ -74,6 +108,9 @@ class LeaseSchedulerTest : public ::testing::Test {
   NodeId node_;
   std::atomic<int> executed_{0};
   std::atomic<int64_t> exec_sleep_us_{0};
+  std::atomic<bool> release_holds_{false};
+  Mutex runs_mu_{"LeaseSchedulerTest.runs_mu"};
+  std::unordered_map<TaskId, int> runs_ GUARDED_BY(runs_mu_);
 };
 
 TEST_F(LeaseSchedulerTest, GrantCarvesResourcesAndReleaseReturnsThem) {
@@ -192,6 +229,138 @@ TEST_F(LeaseSchedulerTest, ShutdownMidSubmitRefusesAndNeverRunsRefusedTasks) {
   EXPECT_EQ(executed_.load(), after);
 }
 
+TEST_F(LeaseSchedulerTest, PlacedTasksRideBusyLeasesWithoutRevokingThem) {
+  // Every CPU is leased and both pipelines are busy. Placed tasks must run
+  // on those leases: waiting for a revocation would tear down hot pipelines,
+  // and this fixture has no global scheduler to re-forward them to.
+  LocalSchedulerConfig config;
+  config.total_resources = ResourceSet::Cpu(2);
+  config.lease_idle_timeout_us = 60'000'000;  // reaper out of the picture
+  StartScheduler(config);
+  exec_sleep_us_.store(10'000);
+
+  auto a = scheduler_->RequestLease(ResourceSet::Cpu(1));
+  auto b = scheduler_->RequestLease(ResourceSet::Cpu(1));
+  ASSERT_NE(a, nullptr);
+  ASSERT_NE(b, nullptr);
+  constexpr int kPipelined = 4;
+  for (int i = 0; i < kPipelined; ++i) {
+    ASSERT_TRUE(scheduler_->SubmitOnLease(a, MakeTask()));
+    ASSERT_TRUE(scheduler_->SubmitOnLease(b, MakeTask()));
+  }
+  // 36 tasks of 10 ms on two workers span several heartbeat ticks.
+  auto& tracer = trace::Tracer::Instance();
+  trace::TraceMode trace_mode = tracer.mode();
+  tracer.SetMode(trace::TraceMode::kFull);
+  constexpr int kPlaced = 28;
+  std::vector<TaskSpec> placed;
+  for (int i = 0; i < kPlaced; ++i) {
+    placed.push_back(MakeTask());
+    scheduler_->SubmitPlaced(placed.back());
+  }
+  WaitExecuted(2 * kPipelined + kPlaced, 20'000'000);
+  std::vector<trace::TraceEvent> events = tracer.Snapshot();
+  tracer.SetMode(trace_mode);
+  EXPECT_EQ(executed_.load(), 2 * kPipelined + kPlaced);
+  for (const TaskSpec& spec : placed) {
+    EXPECT_EQ(RunsOf(spec.id), 1);
+    // A dispatch onto a lease is a queue exit like any other.
+    EXPECT_EQ(std::count_if(events.begin(), events.end(),
+                            [&](const trace::TraceEvent& e) {
+                              return e.stage == trace::Stage::kQueue && e.task == spec.id;
+                            }),
+              1);
+  }
+  EXPECT_EQ(scheduler_->NumLeasesRevoked(), 0u) << "a ready task revoked a lease it could ride";
+  EXPECT_EQ(scheduler_->NumActiveLeases(), 2u);
+  scheduler_->ReturnLease(a);
+  scheduler_->ReturnLease(b);
+}
+
+TEST_F(LeaseSchedulerTest, RefusedRideRetriesAtTheNextTick) {
+  // Two tasks wait on one object and become ready together. Both pick the
+  // only lease, which has room for one: the second is refused, goes back to
+  // the head of the ready queue, and rides the lease at a later tick.
+  LocalSchedulerConfig config;
+  config.total_resources = ResourceSet::Cpu(1);
+  config.lease_max_inflight = 1;
+  config.lease_idle_timeout_us = 60'000'000;  // reaper out of the picture
+  StartScheduler(config);
+  auto lease = scheduler_->RequestLease(ResourceSet::Cpu(1));
+  ASSERT_NE(lease, nullptr);
+
+  ObjectId input = ObjectId::FromRandom();
+  std::vector<TaskSpec> tasks;
+  for (int i = 0; i < 2; ++i) {
+    tasks.push_back(MakeTask());
+    tasks.back().args.push_back(TaskArg::ByRef(input));
+    scheduler_->SubmitPlaced(tasks.back());
+  }
+  SleepMicros(5'000);
+  EXPECT_EQ(executed_.load(), 0);
+  store_->Put(input, std::make_shared<Buffer>());
+  WaitExecuted(2);
+  for (const TaskSpec& spec : tasks) {
+    EXPECT_EQ(RunsOf(spec.id), 1);
+  }
+  EXPECT_EQ(scheduler_->NumLeasesRevoked(), 0u);
+  scheduler_->ReturnLease(lease);
+}
+
+TEST_F(LeaseSchedulerTest, PlacedTasksRunExactlyOnceAcrossLeaseChurn) {
+  // One CPU is held by a classic task for the whole test; the other is
+  // fought over by a thread that grants and returns leases while placed
+  // tasks dispatch onto whichever lease or free CPU the scheduler picks.
+  // A lease returned between its pick and the push must refuse the task,
+  // which then runs later, once: never lost, never twice.
+  LocalSchedulerConfig config;
+  config.total_resources = ResourceSet::Cpu(2);
+  StartScheduler(config);
+
+  TaskSpec hold = MakeTask();
+  hold.function_name = "hold";
+  scheduler_->SubmitPlaced(hold);
+  ASSERT_TRUE(WaitFor([&] { return scheduler_->MakeHeartbeat().available.Get("CPU") == 1; },
+                      5'000'000));
+
+  std::atomic<bool> stop{false};
+  std::atomic<int> granted{0};
+  std::thread churn([&] {
+    for (int i = 0; !stop.load(); ++i) {
+      auto lease = scheduler_->RequestLease(ResourceSet::Cpu(1));
+      if (lease != nullptr) {
+        granted.fetch_add(1);
+      }
+      SleepMicros(20 + (i % 4) * 20);
+      scheduler_->ReturnLease(lease);
+    }
+  });
+  constexpr int kPlaced = 2'000;
+  std::vector<TaskSpec> placed;
+  for (int i = 0; i < kPlaced; ++i) {
+    placed.push_back(MakeTask());
+    scheduler_->SubmitPlaced(placed.back());
+    SleepMicros(10);
+  }
+  WaitExecuted(kPlaced, 30'000'000);
+  stop.store(true);
+  churn.join();
+  release_holds_.store(true);
+  WaitExecuted(kPlaced + 1);
+
+  EXPECT_GT(granted.load(), 0) << "the churn thread never held a lease; nothing raced";
+  EXPECT_EQ(executed_.load(), kPlaced + 1);
+  int wrong = 0;
+  for (const TaskSpec& spec : placed) {
+    wrong += RunsOf(spec.id) != 1 ? 1 : 0;
+  }
+  EXPECT_EQ(wrong, 0) << "tasks that did not run exactly once";
+  ASSERT_TRUE(WaitFor(
+      [&] { return scheduler_->NumActiveLeases() == 0 && scheduler_->QueueLength() == 0; },
+      5'000'000));
+  EXPECT_EQ(scheduler_->MakeHeartbeat().available.ToString(), config.total_resources.ToString());
+}
+
 // --- cluster-level: full runtime over the transport ------------------------
 
 ClusterConfig LeaseClusterConfig(int nodes, int cpus = 2) {
@@ -264,6 +433,77 @@ TEST(LeaseClusterTest, SpillbackWhenAllWorkersLeasedStillCompletes) {
   for (int i = 0; i < 48; ++i) {
     EXPECT_EQ((*values)[i], i + 1);
   }
+}
+
+// Registers "hold" (sleeps its argument, in microseconds) and "where"
+// (returns the hex id of the node it ran on, ignoring its input).
+void RegisterHoldAndWhere(Cluster& cluster) {
+  cluster.RegisterFunction("hold", std::function<int(int)>([](int us) {
+                             SleepMicros(us);
+                             return us;
+                           }));
+  cluster.RegisterFunction("where", std::function<std::string(std::string)>([](std::string) {
+                             return Ray::Current().home().Hex();
+                           }));
+}
+
+// Submits two 300 ms tasks from node 0; the transport grows to two leases,
+// which hold both of node 0's CPUs until the tasks finish.
+std::vector<ObjectRef<int>> LeaseBothCpus(Cluster& cluster) {
+  Ray ray = Ray::OnNode(cluster, 0);
+  std::vector<ObjectRef<int>> holds;
+  for (int i = 0; i < 2; ++i) {
+    holds.push_back(ray.Call<int>("hold", 300'000));
+  }
+  return holds;
+}
+
+TEST(LeaseClusterTest, RemoteInputTaskRidesALeaseOfItsFullyLeasedNode) {
+  // Node 0's CPUs are all leased. A task submitted there whose input lives on
+  // node 1 waits for that input and then runs on one of the leases: leases
+  // must not make the node look full to itself (bottom-up scheduling spills
+  // only when the node is overloaded or cannot satisfy the task).
+  ClusterConfig config = LeaseClusterConfig(2);
+  config.scheduler.lease_idle_timeout_us = 60'000'000;  // reaper out of the picture
+  Cluster cluster(config);
+  RegisterHoldAndWhere(cluster);
+  LocalScheduler& node0 = cluster.node(0).scheduler();
+  std::vector<ObjectRef<int>> holds = LeaseBothCpus(cluster);
+  ASSERT_EQ(node0.NumActiveLeases(), 2u);
+  ASSERT_EQ(node0.MakeHeartbeat().available.Get("CPU"), 0);
+
+  ObjectRef<std::string> input = Ray::OnNode(cluster, 1).Put(std::string("on node 1"));
+  uint64_t spilled = node0.NumSpilledToGlobal();
+  uint64_t revoked = node0.NumLeasesRevoked();
+  Ray ray = Ray::OnNode(cluster, 0);
+  auto where = ray.Get(ray.Call<std::string>("where", input), 10'000'000);
+  ASSERT_TRUE(where.ok()) << where.status().ToString();
+  EXPECT_EQ(*where, cluster.node(0).id().Hex()) << "the task left its submitter's node";
+  EXPECT_EQ(node0.NumSpilledToGlobal(), spilled);
+  EXPECT_EQ(node0.NumLeasesRevoked(), revoked);
+  ASSERT_TRUE(ray.GetAll(holds, 10'000'000).ok());
+}
+
+TEST(LeaseClusterTest, StrandedBackstopWaitsWhileLeasedWorkRuns) {
+  // A 2-CPU task on a 1-node cluster whose CPUs are leased by running work:
+  // no lease can carry it, but the leased work will free the CPUs, so the
+  // stranded-task backstop must wait its window instead of bouncing the task
+  // through the global scheduler on every heartbeat tick.
+  Cluster cluster(LeaseClusterConfig(1));
+  RegisterHoldAndWhere(cluster);
+  LocalScheduler& node0 = cluster.node(0).scheduler();
+  std::vector<ObjectRef<int>> holds = LeaseBothCpus(cluster);
+  ASSERT_EQ(node0.MakeHeartbeat().available.Get("CPU"), 0);
+
+  uint64_t spilled = node0.NumSpilledToGlobal();
+  Ray ray = Ray::OnNode(cluster, 0);
+  ObjectRef<int> big = ray.CallWithResources<int>("hold", ResourceSet::Cpu(2), 0);
+  SleepMicros(150'000);
+  // One spill is the submit itself: no lease or free CPU fits it.
+  EXPECT_LE(node0.NumSpilledToGlobal(), spilled + 1) << "re-forwarded on every tick";
+  auto done = ray.Get(big, 10'000'000);
+  ASSERT_TRUE(done.ok()) << done.status().ToString();
+  ASSERT_TRUE(ray.GetAll(holds, 10'000'000).ok());
 }
 
 TEST(LeaseClusterTest, LeaseHolderDeathMidSubmitReclaimsAndRecovers) {
@@ -353,18 +593,6 @@ TEST(LeaseClusterTest, LineageDurableBeforeOutputsVisibleAcrossKill) {
   EXPECT_GT(visible, 0) << "kill raced ahead of every task; test proved nothing";
 }
 
-
-// Waits (bounded) until `done()` holds; returns whether it did.
-bool WaitFor(const std::function<bool()>& done, int64_t timeout_us = 30'000'000) {
-  int64_t deadline = NowMicros() + timeout_us;
-  while (!done()) {
-    if (NowMicros() >= deadline) {
-      return false;
-    }
-    SleepMicros(500);
-  }
-  return true;
-}
 
 // Sanitizer builds run a worker's own per-task code about ten times slower,
 // so they stretch the modelled hop to keep one chain round well above it.
