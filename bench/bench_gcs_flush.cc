@@ -18,7 +18,7 @@ void Run(bool flush_enabled, int num_tasks, int report_every, bench::BenchJson& 
   config.num_shards = 4;
   config.flush_threshold_bytes = flush_enabled ? (4u << 20) : 0;
   gcs::Gcs gcs(config);
-  gcs.AddFlushablePrefix("task:");
+  gcs.AddFlushablePrefix(gcs::TaskTable::kKeyPrefix);
   gcs::TaskTable tasks(&gcs);
   NodeId node = NodeId::FromRandom();
 
@@ -27,7 +27,7 @@ void Run(bool flush_enabled, int num_tasks, int report_every, bench::BenchJson& 
   const std::string spec(200, 's');  // ≈ an empty TaskSpec's serialized size
   for (int t = 1; t <= num_tasks; ++t) {
     TaskId id = TaskId::FromRandom();
-    tasks.AddTask(id, spec);
+    tasks.AddTask(id, node, spec);
     tasks.SetState(id, gcs::TaskState::kDone, node);
     if (t % report_every == 0) {
       double mem_mb = gcs.MemoryBytes() / 1048576.0;

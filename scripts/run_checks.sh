@@ -26,7 +26,11 @@
 #      once, through the submitting node's LineageBuffer, which is what
 #      orders a task's outputs after its lineage; a second writer would be
 #      an unordered second copy. The match is on the table receivers
-#      (`tasks`, `objects`, `actors`), so TaskGraph::AddTask passes.
+#      (`tasks`, `objects`, `actors`), so TaskGraph::AddTask passes. And the
+#      GCS key layout lives in src/gcs/ only: no "task: or "obj: string
+#      literal in src/ outside it, since a reader that spells a key by hand
+#      misses what the tables derive (a return's creating task, a pending
+#      state) and a writer bypasses them.
 #   6. Histogram gate: in src/ and bench/, no std::nth_element, and no
 #      function whose name contains "percentile" (any case) outside
 #      src/common/metrics.{h,cc}. Every percentile comes from ray::Histogram,
@@ -197,7 +201,16 @@ if [[ -n "$lineage_hits" ]]; then
   echo "Submit through Cluster::SubmitTask, which records through the submitting node's LineageBuffer." >&2
   exit 1
 fi
-echo "OK: lineage is written only by LineageBuffer"
+key_hits=$(grep -rnE '"(task|obj):' src/ --include='*.h' --include='*.cc' \
+  | grep -v '^src/gcs/' \
+  | grep -vE ':[0-9]+:\s*//' || true)
+if [[ -n "$key_hits" ]]; then
+  echo "FAIL: Task or Object Table keys spelled outside src/gcs/:" >&2
+  echo "$key_hits" >&2
+  echo "Go through gcs::TaskTable / gcs::ObjectTable, which own the key layout." >&2
+  exit 1
+fi
+echo "OK: lineage is written only by LineageBuffer, and only src/gcs/ spells its keys"
 
 echo "== check 6/10: one histogram =="
 # A definition is a type, then a name containing "percentile", then "(" (or

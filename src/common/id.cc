@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <random>
+#include <type_traits>
 
 namespace ray {
 namespace {
@@ -26,6 +27,28 @@ std::pair<uint64_t, uint64_t> RandomPair() {
   return {gen(), gen()};
 }
 
+// Bytes 12-15 of an ID, read and written as a little-endian uint32: zero in
+// a task ID, kReturnBit | (index + 1) in a task's return (see id.h).
+constexpr size_t kTailOffset = 12;
+constexpr uint32_t kReturnBit = 0x80000000u;
+
+uint32_t ReadTail(const uint8_t* data) {
+  uint32_t tail = 0;
+  for (size_t i = 0; i < 4; ++i) {
+    tail |= static_cast<uint32_t>(data[kTailOffset + i]) << (8 * i);
+  }
+  return tail;
+}
+
+void WriteTail(uint8_t* data, uint32_t tail) {
+  for (size_t i = 0; i < 4; ++i) {
+    data[kTailOffset + i] = static_cast<uint8_t>(tail >> (8 * i));
+  }
+}
+
+// Makes an object ID that is not a task's return never look like one.
+void ClearReturnBit(uint8_t* data) { WriteTail(data, ReadTail(data) & ~kReturnBit); }
+
 }  // namespace
 
 template <typename Tag>
@@ -34,6 +57,11 @@ BaseId<Tag> BaseId<Tag>::FromRandom() {
   auto [a, b] = RandomPair();
   std::memcpy(id.data_.data(), &a, 8);
   std::memcpy(id.data_.data() + 8, &b, 8);
+  if constexpr (std::is_same_v<Tag, TaskIdTag>) {
+    WriteTail(id.data_.data(), 0);  // where a return's index goes
+  } else if constexpr (std::is_same_v<Tag, ObjectIdTag>) {
+    ClearReturnBit(id.data_.data());
+  }
   return id;
 }
 
@@ -70,12 +98,24 @@ std::string BaseId<Tag>::Hex() const {
   return out;
 }
 
-ObjectId ObjectIdForReturn(const TaskId& task, uint64_t index) {
-  return task.Derive(index + 1).Cast<ObjectIdTag>();
+ObjectId ObjectIdForReturn(const TaskId& task, uint32_t index) {
+  ObjectId object = task.Cast<ObjectIdTag>();
+  WriteTail(object.MutableData(), kReturnBit | (index + 1));
+  return object;
+}
+
+bool IsTaskReturn(const ObjectId& object) { return (ReadTail(object.Data()) & kReturnBit) != 0; }
+
+TaskId ReturningTask(const ObjectId& object) {
+  TaskId task = object.Cast<TaskIdTag>();
+  WriteTail(task.MutableData(), 0);
+  return task;
 }
 
 ObjectId ActorCursorId(const ActorId& actor, uint64_t call_index) {
-  return actor.Derive(call_index ^ 0xac7091d5ULL).Cast<ObjectIdTag>();
+  ObjectId cursor = actor.Derive(call_index ^ 0xac7091d5ULL).Cast<ObjectIdTag>();
+  ClearReturnBit(cursor.MutableData());
+  return cursor;
 }
 
 template class BaseId<ObjectIdTag>;

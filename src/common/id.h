@@ -1,9 +1,16 @@
 // Unique identifiers for every entity tracked by the system: objects, tasks,
-// actors, nodes, and workers. IDs are 128-bit values. Task IDs are generated
-// randomly (they incorporate driver/parent entropy at submission time), and
-// object IDs are derived deterministically from the task that produces them
-// plus the output index — this is what makes lineage reconstruction possible:
-// re-executing a task reproduces the same object IDs.
+// actors, nodes, and workers. IDs are 128-bit values.
+//
+// A task ID is 12 random bytes followed by four zero bytes. A task's i-th
+// return is named by the task itself: its object ID is the task's bytes 0-11
+// followed by the little-endian uint32 0x80000000 | (i + 1). So re-executing
+// a task reproduces the same object IDs, which is what makes lineage
+// reconstruction possible, and the layout is invertible: ReturningTask reads
+// the creating task back out of a return's ID, so the Object Table stores no
+// return -> task link (as in Ray's own ObjectID, a TaskID plus an index).
+// The top bit of bytes 12-15 marks the shape: every other object ID (a put's
+// random ID, an actor cursor) has it clear, so it is never taken for a
+// return.
 #ifndef RAY_COMMON_ID_H_
 #define RAY_COMMON_ID_H_
 
@@ -53,10 +60,13 @@ class BaseId {
   std::string Binary() const { return std::string(reinterpret_cast<const char*>(data_.data()), kSize); }
   std::string Hex() const;
 
+  // Mixes both halves: a task's returns share bytes 0-11.
   uint64_t Hash() const {
-    uint64_t h;
-    std::memcpy(&h, data_.data(), sizeof(h));
-    return h;
+    uint64_t lo;
+    uint64_t hi;
+    std::memcpy(&lo, data_.data(), sizeof(lo));
+    std::memcpy(&hi, data_.data() + sizeof(lo), sizeof(hi));
+    return lo ^ (hi * 0x9e3779b97f4a7c15ULL);
   }
 
   const uint8_t* Data() const { return data_.data(); }
@@ -84,8 +94,14 @@ using NodeId = BaseId<NodeIdTag>;
 using WorkerId = BaseId<WorkerIdTag>;
 using FunctionId = BaseId<FunctionIdTag>;
 
-// The object produced as the `index`-th return value of `task`.
-ObjectId ObjectIdForReturn(const TaskId& task, uint64_t index);
+// The object produced as the `index`-th return value of `task`; `index` is
+// below 2^31 - 1.
+ObjectId ObjectIdForReturn(const TaskId& task, uint32_t index);
+
+// True iff `object` has the shape ObjectIdForReturn gives a task's return.
+bool IsTaskReturn(const ObjectId& object);
+// The task whose return `object` is. Meaningful only if IsTaskReturn(object).
+TaskId ReturningTask(const ObjectId& object);
 
 // The synthetic "cursor" object that represents the actor's state after its
 // `call_index`-th method. Stateful edges in the task graph are expressed as a

@@ -184,8 +184,8 @@ void Gcs::WriteAsync(ChainOp op, WriteCallback done) {
   batchers_[index]->ExecuteAsync(std::move(op), /*publish=*/true, std::move(done));
 }
 
-void Gcs::PutAsync(const std::string& key, const std::string& value, WriteCallback done) {
-  WriteAsync({ChainOp::Kind::kPut, key, value}, std::move(done));
+void Gcs::PutAsync(const std::string& key, std::string value, WriteCallback done) {
+  WriteAsync({ChainOp::Kind::kPut, key, std::move(value)}, std::move(done));
 }
 
 void Gcs::AppendAsync(const std::string& key, const std::string& element,

@@ -63,7 +63,7 @@ class Gcs {
   // waits on another shard's flusher, which may itself be running a callback
   // that waits on this one, and the two flushers then deadlock.
   using WriteCallback = std::function<void(Status)>;
-  void PutAsync(const std::string& key, const std::string& value, WriteCallback done);
+  void PutAsync(const std::string& key, std::string value, WriteCallback done);
   void AppendAsync(const std::string& key, const std::string& element, WriteCallback done);
   Result<std::string> Get(const std::string& key) const;
   Result<std::vector<std::string>> GetList(const std::string& key) const;

@@ -12,7 +12,14 @@ namespace {
 
 std::string ObjLocKey(const ObjectId& object) { return "obj:loc:" + object.Binary(); }
 std::string ObjTaskKey(const ObjectId& object) { return "obj:task:" + object.Binary(); }
-std::string TaskStateKey(const TaskId& task) { return "task:state:" + task.Binary(); }
+std::string TaskKey(const char* kind, const TaskId& task) {
+  std::string key = TaskTable::kKeyPrefix;
+  key += kind;
+  key.append(reinterpret_cast<const char*>(task.Data()), TaskId::kSize);
+  return key;
+}
+std::string TaskSpecKey(const TaskId& task) { return TaskKey("spec:", task); }
+std::string TaskStateKey(const TaskId& task) { return TaskKey("state:", task); }
 std::string ActorSpecKey(const ActorId& actor) { return "actor:spec:" + actor.Binary(); }
 std::string ActorLocKey(const ActorId& actor) { return "actor:loc:" + actor.Binary(); }
 std::string ActorCkptKey(const ActorId& actor) { return "actor:ckpt:" + actor.Binary(); }
@@ -21,6 +28,31 @@ std::string ActorLogKey(const ActorId& actor) { return "actor:log:" + actor.Bina
 std::string HeartbeatKey(const NodeId& node) { return "hb:" + node.Binary(); }
 std::string FunctionKey(const FunctionId& fn) { return "fn:" + fn.Binary(); }
 constexpr const char* kNodesKey = "nodes";
+
+// A task record is the node binary, then the spec bytes.
+std::string TaskRecord(const NodeId& node, const std::string& spec_bytes) {
+  std::string rec;
+  rec.reserve(NodeId::kSize + spec_bytes.size());
+  rec += node.Binary();
+  rec += spec_bytes;
+  return rec;
+}
+
+// The task's record, checked to hold at least a node.
+Result<std::string> ReadTaskRecord(const Gcs& gcs, const TaskId& task) {
+  auto record = gcs.Get(TaskSpecKey(task));
+  if (record.ok() && record->size() < NodeId::kSize) {
+    return Status::Internal("corrupt task record");
+  }
+  return record;
+}
+
+std::string StateRecord(TaskState state, const NodeId& node) {
+  std::string rec;
+  rec.push_back(static_cast<char>(state));
+  rec += node.Binary();
+  return rec;
+}
 
 // Location records are '+'/'-' + node binary; heartbeat/size piggybacked.
 std::string LocationRecord(char op, const NodeId& node, uint64_t size) {
@@ -97,6 +129,14 @@ void ObjectTable::RecordCreatingTaskAsync(const ObjectId& object, const TaskId& 
 }
 
 Result<TaskId> ObjectTable::GetCreatingTask(const ObjectId& object) const {
+  if (IsTaskReturn(object)) {
+    TaskId task = ReturningTask(object);
+    auto record = gcs_->Get(TaskSpecKey(task));
+    if (!record.ok()) {
+      return record.status();
+    }
+    return task;
+  }
   auto v = gcs_->Get(ObjTaskKey(object));
   if (!v.ok()) {
     return v.status();
@@ -104,38 +144,54 @@ Result<TaskId> ObjectTable::GetCreatingTask(const ObjectId& object) const {
   return TaskId::FromBinary(*v);
 }
 
+Status ObjectTable::DeleteCreatingTask(const ObjectId& object) {
+  return gcs_->Delete(ObjTaskKey(object));
+}
+
 // --- TaskTable ---
 
-Status TaskTable::AddTask(const TaskId& task, const std::string& spec_bytes) {
-  return gcs_->Put(kSpecPrefix + task.Binary(), spec_bytes);
+Status TaskTable::AddTask(const TaskId& task, const NodeId& node, const std::string& spec_bytes) {
+  return gcs_->Put(TaskSpecKey(task), TaskRecord(node, spec_bytes));
 }
 
 Result<std::string> TaskTable::GetSpec(const TaskId& task) const {
-  return gcs_->Get(kSpecPrefix + task.Binary());
+  auto record = ReadTaskRecord(*gcs_, task);
+  if (!record.ok()) {
+    return record.status();
+  }
+  record->erase(0, NodeId::kSize);
+  return std::move(*record);
 }
 
 Status TaskTable::SetState(const TaskId& task, TaskState state, const NodeId& node) {
-  std::string v;
-  v.push_back(static_cast<char>(state));
-  v += node.Binary();
-  return gcs_->Put(TaskStateKey(task), v);
+  return gcs_->Put(TaskStateKey(task), StateRecord(state, node));
 }
 
-void TaskTable::AddTaskAsync(const TaskId& task, const std::string& spec_bytes,
+Status TaskTable::DeleteTask(const TaskId& task) {
+  RAY_RETURN_NOT_OK(gcs_->Delete(TaskSpecKey(task)));
+  return gcs_->Delete(TaskStateKey(task));
+}
+
+void TaskTable::AddTaskAsync(const TaskId& task, const NodeId& node, const std::string& spec_bytes,
                              Gcs::WriteCallback done) {
-  gcs_->PutAsync(kSpecPrefix + task.Binary(), spec_bytes, std::move(done));
+  gcs_->PutAsync(TaskSpecKey(task), TaskRecord(node, spec_bytes), std::move(done));
 }
 
 void TaskTable::SetStateAsync(const TaskId& task, TaskState state, const NodeId& node,
                               Gcs::WriteCallback done) {
-  std::string v;
-  v.push_back(static_cast<char>(state));
-  v += node.Binary();
-  gcs_->PutAsync(TaskStateKey(task), v, std::move(done));
+  gcs_->PutAsync(TaskStateKey(task), StateRecord(state, node), std::move(done));
 }
 
 Result<std::pair<TaskState, NodeId>> TaskTable::GetState(const TaskId& task) const {
   auto v = gcs_->Get(TaskStateKey(task));
+  if (!v.ok() && v.status().code() == StatusCode::kKeyNotFound) {
+    // No state written since the record: pending on the node it names.
+    auto record = ReadTaskRecord(*gcs_, task);
+    if (!record.ok()) {
+      return record.status();
+    }
+    return std::make_pair(TaskState::kPending, NodeId::FromBinary(*record));
+  }
   if (!v.ok()) {
     return v.status();
   }

@@ -21,7 +21,9 @@ namespace gcs {
 
 // ---------------------------------------------------------------------------
 // Object Table: object id -> set of nodes holding a copy, plus size and the
-// task that creates the object (needed to walk lineage on reconstruction).
+// task that creates the object (needed to walk lineage on reconstruction). A
+// task's return names its task (common/id.h), so only an actor cursor's
+// creating task is stored.
 // ---------------------------------------------------------------------------
 class ObjectTable {
  public:
@@ -48,36 +50,56 @@ class ObjectTable {
                               std::function<void(const ObjectId&, const NodeId&)> callback);
   void UnsubscribeLocations(const ObjectId& object, uint64_t token);
 
-  // Written by the lineage buffer only: returns immediately, `done(status)`
-  // runs once the record is durable (see Gcs::PutAsync for callback context).
+  // Links an object whose ID does not name its creating task (an actor
+  // cursor). Written by the lineage buffer only: returns immediately,
+  // `done(status)` runs once the link is durable (see Gcs::PutAsync for
+  // callback context).
   void RecordCreatingTaskAsync(const ObjectId& object, const TaskId& task,
                                Gcs::WriteCallback done);
+  // KeyNotFound unless the creating task's spec is recorded, so callers read
+  // an OK result as "has lineage". One tail read: the Task Table's record for
+  // a task's return (common/id.h ReturningTask), the stored link otherwise.
   Result<TaskId> GetCreatingTask(const ObjectId& object) const;
+  // Drops a link RecordCreatingTaskAsync wrote (lineage garbage collection).
+  // A return's link goes with its task's spec (TaskTable::DeleteTask).
+  Status DeleteCreatingTask(const ObjectId& object);
 
  private:
   Gcs* gcs_;
 };
 
 // ---------------------------------------------------------------------------
-// Task Table: the durable lineage. Task specs are immutable; state mutates.
+// Task Table: the durable lineage. A task's record is its immutable spec
+// behind the node it was first queued on; its state entry is written only
+// when the task changes hands or ends. Until then the record stands for it:
+// the task is pending on the node the record names.
 // ---------------------------------------------------------------------------
-enum class TaskState : uint8_t { kPending = 0, kRunning = 1, kDone = 2, kLost = 3 };
+// A task is running from the moment it is pending on a live node, so there
+// is no running state. The byte values are what the GCS stores.
+enum class TaskState : uint8_t { kPending = 0, kDone = 2, kLost = 3 };
 
 class TaskTable {
  public:
-  // Key prefix for lineage entries; registered as flushable (Fig. 10b).
-  static constexpr const char* kSpecPrefix = "task:spec:";
+  // Prefix of every Task Table key; registered as flushable (Fig. 10b).
+  static constexpr const char* kKeyPrefix = "task:";
 
   explicit TaskTable(Gcs* gcs) : gcs_(gcs) {}
 
-  Status AddTask(const TaskId& task, const std::string& spec_bytes);
+  // Records `task` as pending on `node`, in one write.
+  Status AddTask(const TaskId& task, const NodeId& node, const std::string& spec_bytes);
   Result<std::string> GetSpec(const TaskId& task) const;
   Status SetState(const TaskId& task, TaskState state, const NodeId& node);
+  // The last SetState, or (kPending, the record's node) when none was made.
+  // KeyNotFound when the task is not recorded.
   Result<std::pair<TaskState, NodeId>> GetState(const TaskId& task) const;
+  // Drops the task's record and state (lineage garbage collection); its
+  // returns then read as having no lineage.
+  Status DeleteTask(const TaskId& task);
 
   // Async variants for the lineage buffer and task completion (durability
   // is tracked by the caller through the completion callbacks).
-  void AddTaskAsync(const TaskId& task, const std::string& spec_bytes, Gcs::WriteCallback done);
+  void AddTaskAsync(const TaskId& task, const NodeId& node, const std::string& spec_bytes,
+                    Gcs::WriteCallback done);
   void SetStateAsync(const TaskId& task, TaskState state, const NodeId& node,
                      Gcs::WriteCallback done);
 

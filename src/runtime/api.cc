@@ -96,8 +96,9 @@ Result<BufferPtr> Ray::GetBuffer(const ObjectId& id, int64_t timeout_us) {
     // ReconstructObject decides what (if anything) needs resubmitting: it
     // skips tasks already in flight on healthy nodes but still walks their
     // dependencies, covering producers that died before publishing, and
-    // reports the object lost if it needs a put with no live replica.
-    Status s = cluster_->ReconstructObject(id);
+    // reports the object lost if it needs a put with no live replica. It
+    // stops at this Get's deadline.
+    Status s = cluster_->ReconstructObject(id, deadline);
     if (!s.ok()) {
       return s;
     }

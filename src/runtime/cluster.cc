@@ -26,7 +26,7 @@ Cluster::Cluster(const ClusterConfig& config) : config_(config) {
   gcs_ = std::make_unique<gcs::Gcs>(config_.gcs);
   // Lineage (task specs/states) is the cold data that GCS flushing targets
   // (Fig. 10b); object locations stay hot in memory.
-  gcs_->AddFlushablePrefix("task:");
+  gcs_->AddFlushablePrefix(gcs::TaskTable::kKeyPrefix);
   tables_ = std::make_unique<gcs::GcsTables>(gcs_.get());
   net_ = std::make_unique<SimNetwork>(config_.net);
   liveness_ = std::make_unique<gcs::LivenessView>(tables_.get());
@@ -46,7 +46,7 @@ Cluster::Cluster(const ClusterConfig& config) : config_(config) {
   rt_.global = global_.get();
   rt_.functions = &functions_;
   rt_.actor_classes = &actor_classes_;
-  rt_.reconstruct_object = [this](const ObjectId& object) { ReconstructObject(object); };
+  rt_.reconstruct_object = [this](const ObjectId& object) { return ReconstructObject(object); };
   rt_.actor_checkpoint_interval = config_.actor_checkpoint_interval;
 
   death_cb_token_ = liveness_->AddDeathCallback([this](const NodeId& n) { OnNodeDeath(n); });
@@ -299,14 +299,43 @@ Status Cluster::RouteActorTask(const TaskSpec& spec, const NodeId& from) {
   return finish(Status::TimedOut("actor has no live location"));
 }
 
-Status Cluster::ReconstructObject(const ObjectId& object) {
+Status Cluster::ReconstructObject(const ObjectId& object, int64_t deadline_us) {
   trace::Span span(trace::Stage::kReconstruct, TaskId(), object);
-  // Iterative worklist: rebuilding an object may require rebuilding the
-  // producers of its inputs (linear chains in Fig. 11a). Each object is
-  // visited once, as shared ancestors can have exponentially many paths.
+  // Two passes. The walk reads lineage and decides what to re-run, and
+  // nothing is re-run until it has reached every lost ancestor: a walk that
+  // ends at an unrecoverable put re-runs nothing, so a consumer that ended
+  // kLost on it is not revived by every Get. Iterative worklist: rebuilding
+  // an object may require rebuilding the producers of its inputs (linear
+  // chains in Fig. 11a). Each object is visited once, as shared ancestors
+  // can have exponentially many paths.
   std::deque<ObjectId> work{object};
   std::unordered_set<ObjectId> seen{object};
+  // Tasks to re-run, in the order the walk found them; each holds its
+  // reconstructing_ claim until it is re-run or dropped.
+  std::vector<TaskSpec> rerun;
+  std::vector<ActorId> actors;
+  auto claim = [this](const TaskId& task) {
+    MutexLock lock(reconstruct_mu_);
+    return reconstructing_.insert(task).second;
+  };
+  auto unclaim = [this](const TaskId& task) {
+    MutexLock lock(reconstruct_mu_);
+    reconstructing_.erase(task);
+  };
+  // Gives up the re-runs rerun[0, end) with their claims, and returns
+  // `status`.
+  auto drop = [&](size_t end, Status status) {
+    for (size_t i = 0; i < end; ++i) {
+      unclaim(rerun[i].id);
+    }
+    return status;
+  };
+  auto timed_out = [deadline_us] { return deadline_us >= 0 && NowMicros() >= deadline_us; };
+  const Status deadline_passed = Status::TimedOut("lineage walk passed its deadline");
   while (!work.empty()) {
+    if (timed_out()) {
+      return drop(rerun.size(), deadline_passed);
+    }
     ObjectId obj = work.front();
     work.pop_front();
 
@@ -320,11 +349,13 @@ Status Cluster::ReconstructObject(const ObjectId& object) {
       }
       Status lost = Status::ObjectLost("object " + ToShortString(obj) +
                                        " has no lineage and no live replica");
-      MutexLock lock(reconstruct_mu_);
-      if (lost_puts_.insert(obj).second) {
-        RAY_LOG(WARNING) << lost.ToString();
+      {
+        MutexLock lock(reconstruct_mu_);
+        if (lost_puts_.insert(obj).second) {
+          RAY_LOG(WARNING) << lost.ToString();
+        }
       }
-      return lost;
+      return drop(rerun.size(), lost);
     }
     auto spec_bytes = tables_->tasks.GetSpec(*task_id);
     if (!spec_bytes.ok()) {
@@ -332,43 +363,27 @@ Status Cluster::ReconstructObject(const ObjectId& object) {
     }
     TaskSpec spec = TaskSpec::Deserialize(*spec_bytes);
     if (spec.IsActorTask() && spec.actor_method_read_only) {
-      // Snapshot methods re-execute against the actor's current state. The
-      // original snapshot cursor may predate a recovery (and no longer have
-      // a live copy), so rebase onto the chain's current position.
-      {
-        MutexLock lock(reconstruct_mu_);
-        if (!reconstructing_.insert(spec.id).second) {
-          continue;
-        }
-      }
-      spec.actor_call_index = tables_->actors.CurrentCallIndex(spec.actor);
-      Status s = RouteActorTask(spec, NodeId());
-      if (!s.ok()) {
-        RAY_LOG(WARNING) << "read-only method re-execution failed: " << s.ToString();
-      }
-      {
-        MutexLock lock(reconstruct_mu_);
-        reconstructing_.erase(spec.id);
+      if (claim(spec.id)) {
+        rerun.push_back(std::move(spec));
       }
       continue;
     }
     if (!spec.actor.IsNil()) {
-      RecoverActor(spec.actor);
+      if (std::find(actors.begin(), actors.end(), spec.actor) == actors.end()) {
+        actors.push_back(spec.actor);
+      }
       continue;
     }
 
-    {
-      MutexLock lock(reconstruct_mu_);
-      if (!reconstructing_.insert(spec.id).second) {
-        continue;  // another thread is resubmitting this task right now
-      }
+    if (!claim(spec.id)) {
+      continue;  // another thread is resubmitting this task right now
     }
     bool resubmit = true;
     auto state = tables_->tasks.GetState(spec.id);
     if (state.ok()) {
       auto [st, node] = *state;
       bool node_alive = liveness_->IsAlive(node) && registry_.Lookup(node) != nullptr;
-      if ((st == gcs::TaskState::kPending || st == gcs::TaskState::kRunning) && node_alive) {
+      if (st == gcs::TaskState::kPending && node_alive) {
         resubmit = false;  // already in flight somewhere healthy
       } else if (st == gcs::TaskState::kDone) {
         auto entry = tables_->objects.GetLocations(obj);
@@ -401,16 +416,39 @@ Status Cluster::ReconstructObject(const ObjectId& object) {
       }
     }
     if (resubmit) {
-      Status s = global_->Schedule(spec, NodeId());
-      if (!s.ok()) {
-        RAY_LOG(WARNING) << "reconstruction resubmit failed for task " << ToShortString(spec.id)
-                         << ": " << s.ToString();
-      }
+      rerun.push_back(std::move(spec));
+    } else {
+      unclaim(spec.id);
     }
-    {
-      MutexLock lock(reconstruct_mu_);
-      reconstructing_.erase(spec.id);
+  }
+
+  for (const ActorId& actor : actors) {
+    if (timed_out()) {
+      return drop(rerun.size(), deadline_passed);
     }
+    RecoverActor(actor);
+  }
+  // Deepest first, so the tasks whose inputs are alive start first.
+  for (size_t i = rerun.size(); i-- > 0;) {
+    if (timed_out()) {
+      return drop(i + 1, deadline_passed);
+    }
+    TaskSpec& spec = rerun[i];
+    Status s;
+    if (spec.IsActorTask()) {
+      // Snapshot methods re-execute against the actor's current state. The
+      // original snapshot cursor may predate a recovery (and no longer have
+      // a live copy), so rebase onto the chain's current position.
+      spec.actor_call_index = tables_->actors.CurrentCallIndex(spec.actor);
+      s = RouteActorTask(spec, NodeId());
+    } else {
+      s = global_->Schedule(spec, NodeId());
+    }
+    if (!s.ok()) {
+      RAY_LOG(WARNING) << "reconstruction re-run failed for task " << ToShortString(spec.id)
+                       << ": " << s.ToString();
+    }
+    unclaim(spec.id);
   }
   return Status::Ok();
 }
@@ -440,15 +478,12 @@ size_t Cluster::CollectLineage(const std::vector<ObjectId>& objects, bool transi
         work.push_back(dep);
       }
     }
-    // Drop the spec, the state record, and the object->task links. After
-    // this the objects are exactly as durable as their replicas.
-    gcs_->Delete(gcs::TaskTable::kSpecPrefix + spec.id.Binary());
-    gcs_->Delete("task:state:" + spec.id.Binary());
-    for (uint32_t i = 0; i < spec.num_returns; ++i) {
-      gcs_->Delete("obj:task:" + spec.ReturnId(i).Binary());
-    }
-    if (!spec.actor.IsNil()) {
-      gcs_->Delete("obj:task:" + spec.ResultCursor().Binary());
+    // Drop the record (its returns' links go with it) and the state, and
+    // the cursor link of a record that wrote one. After this the objects are
+    // exactly as durable as their replicas.
+    tables_->tasks.DeleteTask(spec.id);
+    if (spec.AdvancesCursor()) {
+      tables_->objects.DeleteCreatingTask(spec.ResultCursor());
     }
     ++collected;
   }
@@ -535,9 +570,8 @@ void Cluster::RecoverActor(const ActorId& actor) {
     if (NowMicros() - last_place_us > 100'000) {
       auto st = tables_->tasks.GetState(creation.id);
       bool in_flight_healthy =
-          st.ok() &&
-          (st->first == gcs::TaskState::kPending || st->first == gcs::TaskState::kRunning) &&
-          liveness_->IsAlive(st->second) && registry_.Lookup(st->second) != nullptr;
+          st.ok() && st->first == gcs::TaskState::kPending && liveness_->IsAlive(st->second) &&
+          registry_.Lookup(st->second) != nullptr;
       if (!in_flight_healthy) {
         RAY_LOG(WARNING) << "actor recovery: creation for " << ToShortString(actor)
                          << " died with its node; re-placing";

@@ -108,9 +108,12 @@ class Cluster {
 
   // --- fault tolerance ---
   // Re-executes the lineage needed to reproduce `object` (idempotent; safe
-  // to call from fetch threads and concurrent getters). ObjectLost: the walk
-  // reached a put object whose recorded replicas are all on dead nodes.
-  Status ReconstructObject(const ObjectId& object);
+  // to call from fetch threads and concurrent getters). The whole walk runs
+  // before any task is re-run. ObjectLost: the walk reached a put object
+  // whose recorded replicas are all on dead nodes, and nothing was re-run.
+  // TimedOut: NowMicros() passed `deadline_us` (if not negative) before the
+  // walk and its re-runs were done.
+  Status ReconstructObject(const ObjectId& object, int64_t deadline_us = -1);
   // Recovers a dead actor: re-runs its creation task (which restores the
   // latest checkpoint if any) and replays the method log past it.
   void RecoverActor(const ActorId& actor);

@@ -30,8 +30,8 @@ struct RuntimeContext {
   GlobalSchedulerPool* global = nullptr;
   FunctionRegistry* functions = nullptr;
   ActorRegistry* actor_classes = nullptr;
-  // Lineage reconstruction entry point (implemented by Cluster).
-  std::function<void(const ObjectId&)> reconstruct_object;
+  // Lineage reconstruction entry point (Cluster::ReconstructObject).
+  std::function<Status(const ObjectId&)> reconstruct_object;
   // Actor checkpoint period in method calls; 0 disables checkpointing.
   uint64_t actor_checkpoint_interval = 0;
 };

@@ -17,7 +17,7 @@ LineageBuffer::~LineageBuffer() {
 
 void LineageBuffer::Record(const TaskSpec& spec, const NodeId& node) {
   const bool stateful_method = spec.IsActorTask() && !spec.actor_method_read_only;
-  const bool links_cursor = spec.IsActorCreation() || stateful_method;
+  const bool links_cursor = spec.AdvancesCursor();
   std::string spec_bytes = spec.Serialize();
   {
     MutexLock lock(mu_);
@@ -26,18 +26,15 @@ void LineageBuffer::Record(const TaskSpec& spec, const NodeId& node) {
     }
     // Added, not assigned: a task recorded again while its first record is
     // in flight is durable once both are.
-    pending_[spec.id].remaining_ops += 2 + static_cast<int>(spec.num_returns) +
-                                       (links_cursor ? 1 : 0) + (stateful_method ? 1 : 0) +
+    pending_[spec.id].remaining_ops += 1 + (links_cursor ? 1 : 0) + (stateful_method ? 1 : 0) +
                                        (spec.IsActorCreation() ? 1 : 0);
   }
   records_.fetch_add(1, std::memory_order_relaxed);
   // Fire outside mu_: the async calls take the shard batcher locks.
   auto done = [this, task = spec.id](Status s) { OnOpDone(task, std::move(s)); };
-  tables_->tasks.AddTaskAsync(spec.id, spec_bytes, done);
-  tables_->tasks.SetStateAsync(spec.id, gcs::TaskState::kPending, node, done);
-  for (uint32_t i = 0; i < spec.num_returns; ++i) {
-    tables_->objects.RecordCreatingTaskAsync(spec.ReturnId(i), spec.id, done);
-  }
+  // One write is the whole of a plain task's record: the spec carries the
+  // node its kPending state names, and each return's ID names the task.
+  tables_->tasks.AddTaskAsync(spec.id, node, spec_bytes, done);
   if (links_cursor) {
     tables_->objects.RecordCreatingTaskAsync(spec.ResultCursor(), spec.id, done);
   }

@@ -1,10 +1,13 @@
 // The one lineage writer. Cluster::SubmitTask records every task here, on
-// the submitting node, before the task can run anywhere: the spec, the
-// kPending state, the creating-task link of each return and, for actors, the
-// cursor's creating-task link, the method-log append and the creation spec.
-// The writes are fired into the GCS group-commit batchers at once, so they
-// share commit rounds, and the caller returns without waiting; a per-record
-// count of writes in flight says when the record is durable.
+// the submitting node, before the task can run anywhere. A plain task's
+// record is one write: its spec behind the node its kPending state names
+// (gcs::TaskTable), which also stands for the creating-task link of each
+// return (a return's ID names its task, common/id.h). An actor task adds,
+// as its kind needs, the cursor's creating-task link, the method-log append
+// and the creation spec. The writes are fired into the GCS group-commit
+// batchers at once, so they share commit rounds, and the caller returns
+// without waiting; a per-record count of writes in flight says when the
+// record is durable.
 //
 // Durability invariant (what keeps reconstruction and the location-log logic
 // correct): a task's outputs must never become visible — neither the kDone
@@ -50,9 +53,10 @@ class LineageBuffer {
   LineageBuffer& operator=(const LineageBuffer&) = delete;
 
   // Records the full lineage of `spec` asynchronously, with `node` as the
-  // node its kPending state names. Actor creations also record the cursor's
-  // creating task and the creation spec; stateful methods record the cursor's
-  // creating task and append to the method log.
+  // node its kPending state names: one write for a plain task or a read-only
+  // method. Actor creations also record the cursor's creating task and the
+  // creation spec; stateful methods record the cursor's creating task and
+  // append to the method log (three writes each).
   void Record(const TaskSpec& spec, const NodeId& node);
 
   // Blocks until `task`'s lineage is durable. Returns immediately for tasks

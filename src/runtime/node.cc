@@ -91,7 +91,12 @@ void Node::Start() {
   rt_->tables->nodes.RegisterNode(id_);
   rt_->registry->Register(id_, scheduler_.get());
   scheduler_->SetObjectUnreachableHandler(
-      [this](const ObjectId& object) { rt_->reconstruct_object(object); });
+      [this](const ObjectId& object) { return rt_->reconstruct_object(object); },
+      [this](const TaskSpec& spec) {
+        if (IsAlive()) {
+          CompleteTask(spec.id, gcs::TaskState::kLost, {});
+        }
+      });
   scheduler_->Start([this](const TaskSpec& spec) { ExecuteTask(spec); },
                     [this](const TaskSpec& spec) { DispatchActorTask(spec); });
 }

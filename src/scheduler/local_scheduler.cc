@@ -150,9 +150,11 @@ void LocalScheduler::Shutdown() {
   fibers_->Shutdown();
 }
 
-void LocalScheduler::SetObjectUnreachableHandler(ObjectUnreachableHandler handler) {
+void LocalScheduler::SetObjectUnreachableHandler(ObjectUnreachableHandler handler,
+                                                 TaskLostHandler on_lost) {
   MutexLock lock(deps_mu_);
   unreachable_handler_ = std::move(handler);
+  task_lost_handler_ = std::move(on_lost);
 }
 
 Status LocalScheduler::Submit(const TaskSpec& spec) {
@@ -357,8 +359,7 @@ void LocalScheduler::HandlePullFailure(const ObjectId& object, const Status& sta
     bool producer_healthy = false;
     if (state.ok()) {
       auto [st, node] = *state;
-      producer_healthy = (st == gcs::TaskState::kPending || st == gcs::TaskState::kRunning ||
-                          st == gcs::TaskState::kDone) &&
+      producer_healthy = st != gcs::TaskState::kLost &&
                          (liveness_ == nullptr || liveness_->IsAlive(node));
     }
     if (producer_healthy) {
@@ -368,13 +369,68 @@ void LocalScheduler::HandlePullFailure(const ObjectId& object, const Status& sta
   // Every replica (or the producer) died with its node: reconstruction
   // needed (Fig. 11a).
   ObjectUnreachableHandler handler;
+  TaskLostHandler on_lost;
   {
     MutexLock lock(deps_mu_);
     handler = unreachable_handler_;
+    on_lost = task_lost_handler_;
   }
-  if (handler) {
-    handler(object);
+  if (!handler || handler(object).code() != StatusCode::kObjectLost) {
+    return;
   }
+  // Nothing can rebuild it: the tasks waiting on it end here, kLost, instead
+  // of being retried every heartbeat.
+  for (const TaskSpec& spec : DropTasksWaitingOn(object)) {
+    on_lost(spec);
+  }
+}
+
+std::vector<TaskSpec> LocalScheduler::DropTasksWaitingOn(const ObjectId& object) {
+  std::vector<TaskSpec> dropped;
+  std::vector<std::pair<ObjectId, uint64_t>> unsubscribe;
+  {
+    MutexLock lock(deps_mu_);
+    auto bit = blocked_on_.find(object);
+    if (bit == blocked_on_.end()) {
+      return dropped;
+    }
+    std::vector<TaskId> tasks = std::move(bit->second);
+    blocked_on_.erase(bit);
+    // Objects no task waits for any more.
+    std::vector<ObjectId> unwatched{object};
+    for (const TaskId& task : tasks) {
+      auto wit = waiting_.find(task);
+      if (wit == waiting_.end()) {
+        continue;
+      }
+      for (const ObjectId& dep : wit->second.missing) {
+        auto dit = blocked_on_.find(dep);
+        if (dit == blocked_on_.end()) {
+          continue;
+        }
+        auto& waiters = dit->second;
+        waiters.erase(std::remove(waiters.begin(), waiters.end(), task), waiters.end());
+        if (waiters.empty()) {
+          blocked_on_.erase(dit);
+          unwatched.push_back(dep);
+        }
+      }
+      dropped.push_back(std::move(wit->second.spec));
+      waiting_.erase(wit);
+      num_waiting_.fetch_sub(1, std::memory_order_relaxed);
+    }
+    for (const ObjectId& obj : unwatched) {
+      if (auto sit = subscriptions_.find(obj); sit != subscriptions_.end()) {
+        unsubscribe.emplace_back(obj, sit->second);
+        subscriptions_.erase(sit);
+      }
+    }
+  }
+  // Outside deps_mu_: Unsubscribe blocks until in-flight callbacks finish.
+  for (const auto& [obj, token] : unsubscribe) {
+    tables_->objects.UnsubscribeLocations(obj, token);
+  }
+  return dropped;
 }
 
 void LocalScheduler::OnObjectLocal(const ObjectId& object) {
@@ -520,8 +576,8 @@ void LocalScheduler::WorkerLoop() {
     // Counted on pickup, not completion: a consumer woken by this task's
     // result (published mid-executor) must already see it in the counter.
     tasks_executed_.fetch_add(1, std::memory_order_relaxed);
-    // No kRunning transition: reconstruction treats pending-on-a-live-node
-    // and running identically, so the extra GCS write per task buys nothing.
+    // No running state: reconstruction treats pending-on-a-live-node and
+    // running identically, so a GCS write per task here would buy nothing.
     // The executor owns the terminal kDone/kLost transition. It hands it to
     // a chain of GCS write callbacks (lineage durable, then kDone, then the
     // results sealed and their locations published) and returns before any

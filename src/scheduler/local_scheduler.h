@@ -130,8 +130,12 @@ class LocalScheduler {
   // Hands an actor method to its actor mailbox; must not block.
   using ActorDispatcher = std::function<void(const TaskSpec&)>;
   // Called when an input object cannot be fetched because every replica is
-  // on a dead node — the runtime triggers lineage reconstruction.
-  using ObjectUnreachableHandler = std::function<void(const ObjectId&)>;
+  // on a dead node — the runtime triggers lineage reconstruction and returns
+  // its status. ObjectLost means nothing can rebuild the object.
+  using ObjectUnreachableHandler = std::function<Status(const ObjectId&)>;
+  // Receives each task that waited on an object reported lost; it no longer
+  // waits here, and the runtime completes it kLost.
+  using TaskLostHandler = std::function<void(const TaskSpec&)>;
 
   // `liveness` (optional) is the failure detector's view, used when deciding
   // whether a missing object's replicas/producer are gone for good. Null
@@ -197,7 +201,7 @@ class LocalScheduler {
   // from construction until Shutdown(); Node spawns actor loops onto it.
   fiber::FiberScheduler& fibers() { return *fibers_; }
 
-  void SetObjectUnreachableHandler(ObjectUnreachableHandler handler);
+  void SetObjectUnreachableHandler(ObjectUnreachableHandler handler, TaskLostHandler on_lost);
 
   size_t QueueLength() const;
   gcs::Heartbeat MakeHeartbeat() const;
@@ -259,6 +263,9 @@ class LocalScheduler {
   // Decides between retry (a live replica appeared since the failure) and
   // reconstruction (producer or every replica dead). Runs on fetch_pool_.
   void HandlePullFailure(const ObjectId& object, const Status& status);
+  // Removes and returns every task waiting on `object`, and drops the
+  // fetches no remaining task waits for.
+  std::vector<TaskSpec> DropTasksWaitingOn(const ObjectId& object);
   void WorkerLoop();
   void HeartbeatLoop();
   void RescueStrandedTasks();
@@ -304,6 +311,7 @@ class LocalScheduler {
   CondVar pull_cb_cv_;
   int active_pull_callbacks_ GUARDED_BY(pull_cb_mu_) = 0;
   ObjectUnreachableHandler unreachable_handler_ GUARDED_BY(deps_mu_);
+  TaskLostHandler task_lost_handler_ GUARDED_BY(deps_mu_);
 
   // --- dispatch side: resource gating ---
   mutable Mutex dispatch_mu_{"LocalScheduler.dispatch_mu"};

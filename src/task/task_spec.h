@@ -74,6 +74,11 @@ struct TaskSpec {
 
   bool IsActorTask() const { return !actor.IsNil() && !is_actor_creation; }
   bool IsActorCreation() const { return is_actor_creation; }
+  // An actor creation or a stateful method: it makes the chain's next
+  // cursor, so its lineage record links that cursor to it.
+  bool AdvancesCursor() const {
+    return is_actor_creation || (IsActorTask() && !actor_method_read_only);
+  }
 
   // The i-th return object of this task. Deterministic in (id, i).
   ObjectId ReturnId(uint32_t i) const { return ObjectIdForReturn(id, i); }

@@ -202,8 +202,7 @@ Diagnosis ErrorDiagnoser::Examine(const std::vector<TaskId>& tasks,
     auto [st, node] = *state;
     if (st == gcs::TaskState::kLost) {
       d.lost_tasks.push_back(task);
-    } else if ((st == gcs::TaskState::kPending || st == gcs::TaskState::kRunning) &&
-               !NodeAlive(node)) {
+    } else if (st == gcs::TaskState::kPending && !NodeAlive(node)) {
       d.stuck_tasks.push_back(task);
     }
   }

@@ -68,6 +68,30 @@ TEST(IdTest, ReturnIdsDeterministicAcrossReexecution) {
   EXPECT_NE(ObjectIdForReturn(task, 0), ObjectIdForReturn(task, 1));
 }
 
+TEST(IdTest, ReturnIdNamesItsTask) {
+  // The Object Table stores no return -> task link: a return's creating task
+  // is read back out of its ID, for any index a spec can have.
+  for (int trial = 0; trial < 1000; ++trial) {
+    TaskId task = TaskId::FromRandom();
+    for (uint32_t index : {0u, 1u, 2u, 255u, 65'536u, 0x7ffffffdu, 0x7ffffffeu}) {
+      ObjectId ret = ObjectIdForReturn(task, index);
+      ASSERT_TRUE(IsTaskReturn(ret));
+      ASSERT_EQ(ReturningTask(ret), task) << "index " << index;
+    }
+  }
+  TaskId task = TaskId::FromRandom();
+  EXPECT_NE(ObjectIdForReturn(task, 0x7ffffffeu), ObjectIdForReturn(task, 0x7ffffffdu));
+  EXPECT_NE(ObjectIdForReturn(task, 0), ObjectIdForReturn(TaskId::FromRandom(), 0));
+}
+
+TEST(IdTest, PutsAndCursorsAreNeverReturnShaped) {
+  ActorId actor = ActorId::FromRandom();
+  for (uint64_t i = 0; i < 100'000; ++i) {
+    ASSERT_FALSE(IsTaskReturn(ObjectId::FromRandom()));
+    ASSERT_FALSE(IsTaskReturn(ActorCursorId(actor, i)));
+  }
+}
+
 TEST(IdTest, ActorCursorsFormAChain) {
   ActorId actor = ActorId::FromRandom();
   std::set<std::string> cursors;

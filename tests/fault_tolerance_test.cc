@@ -45,6 +45,26 @@ class FaultToleranceTest : public ::testing::Test {
     return false;
   }
 
+  // Tasks the global scheduler has placed, over all its replicas.
+  uint64_t GloballyScheduled() {
+    uint64_t scheduled = 0;
+    for (size_t i = 0; i < cluster_->global_scheduler().NumReplicas(); ++i) {
+      scheduled += cluster_->global_scheduler().replica(i).NumScheduled();
+    }
+    return scheduled;
+  }
+
+  // Tasks queued, waiting or running on any live node.
+  size_t TasksHeldByLiveNodes() {
+    size_t held = 0;
+    for (size_t i = 0; i < cluster_->NumNodes(); ++i) {
+      if (cluster_->node(i).IsAlive()) {
+        held += cluster_->node(i).scheduler().QueueLength();
+      }
+    }
+    return held;
+  }
+
   std::unique_ptr<Cluster> cluster_;
 };
 
@@ -144,6 +164,44 @@ TEST_F(FaultToleranceTest, LostLadderLineageRebuildsQuickly) {
   EXPECT_EQ(*top, 2178309);  // Fibonacci(32)
 }
 
+TEST_F(FaultToleranceTest, LineageWalkStopsAtTheGetDeadline) {
+  // The same ladder over a GCS whose reads take 2 ms: a walk of its 31 lost
+  // rungs reads for hundreds of milliseconds. A Get must still return at its
+  // deadline, not when the walk is done.
+  constexpr int kDepth = 32;
+  ClusterConfig config = FaultClusterConfig(4);
+  config.gcs.chain.hop_latency_us = 2'000;
+  cluster_ = std::make_unique<Cluster>(config);
+  cluster_->RegisterFunction("add", &Add);
+  const ResourceSet pinned{{"CPU", 1}, {"tag", 1}};
+  NodeId tagged = cluster_->AddNodeWithResources(ResourceSet{{"CPU", 2}, {"tag", 1}});
+  Ray ray = Ray::OnNode(*cluster_, 0);
+  std::vector<ObjectRef<int64_t>> x = {ray.Put<int64_t>(0), ray.Put<int64_t>(1)};
+  for (int i = 2; i <= kDepth; ++i) {
+    x.push_back(ray.CallWithResources<int64_t>("add", pinned, x[i - 1], x[i - 2]));
+  }
+  ASSERT_EQ(ray.Wait(std::vector<ObjectRef<int64_t>>{x.back()}, 1, 60'000'000).size(), 1u);
+
+  cluster_->KillNode(tagged);
+  for (int64_t deadline = NowMicros() + 10'000'000;
+       !cluster_->liveness().IsDead(tagged) && NowMicros() < deadline;) {
+    SleepMicros(1'000);
+  }
+  ASSERT_TRUE(cluster_->liveness().IsDead(tagged)) << "the rungs' holder was never declared dead";
+
+  // Every rung's only replica is gone, so each Get below walks the ladder.
+  Timer walk;
+  Status direct = cluster_->ReconstructObject(x.back().id(), NowMicros() + 50'000);
+  EXPECT_EQ(direct.code(), StatusCode::kTimedOut) << direct.ToString();
+  EXPECT_LT(walk.ElapsedMicros(), 150'000);
+
+  Timer get;
+  auto top = ray.Get(x.back(), 50'000);
+  ASSERT_FALSE(top.ok());
+  EXPECT_EQ(top.status().code(), StatusCode::kTimedOut) << top.status().ToString();
+  EXPECT_LT(get.ElapsedMicros(), 150'000);
+}
+
 TEST_F(FaultToleranceTest, LostPutInputReportsObjectLost) {
   // A put object has no lineage: once its only replica's node is declared
   // dead it is gone, and a Get of anything that needs it says so instead of
@@ -167,10 +225,35 @@ TEST_F(FaultToleranceTest, LostPutInputReportsObjectLost) {
 
   Ray ray = Ray::OnNode(*cluster_, 0);
   Timer timer;
-  auto dependent = ray.Get(ray.Call<int>("inc", put), 5'000'000);
+  auto consumer = ray.Call<int>("inc", put);
+  auto dependent = ray.Get(consumer, 5'000'000);
   ASSERT_FALSE(dependent.ok());
   EXPECT_EQ(dependent.status().code(), StatusCode::kObjectLost) << dependent.status().ToString();
   EXPECT_LT(timer.ElapsedMicros(), 2'000'000);
+
+  // The consumer's node hands it back once its input is known lost, and it
+  // ends kLost instead of waiting, its lineage walked every heartbeat.
+  const TaskId consumer_task = ReturningTask(consumer.id());
+  auto ended_lost = [&] {
+    auto state = cluster_->tables().tasks.GetState(consumer_task);
+    return state.ok() && state->first == gcs::TaskState::kLost;
+  };
+  const int64_t heartbeat_us = FaultClusterConfig(4).scheduler.heartbeat_interval_us;
+  for (int64_t deadline = NowMicros() + 2 * heartbeat_us;
+       !ended_lost() && NowMicros() < deadline;) {
+    SleepMicros(1'000);
+  }
+  EXPECT_TRUE(ended_lost()) << "the consumer did not end kLost within two heartbeats";
+  EXPECT_EQ(TasksHeldByLiveNodes(), 0u) << "a scheduler still holds the consumer";
+
+  // Asking again reports the loss again, and runs the consumer nowhere.
+  const uint64_t scheduled = GloballyScheduled();
+  auto again = ray.Get(consumer, 5'000'000);
+  ASSERT_FALSE(again.ok());
+  EXPECT_EQ(again.status().code(), StatusCode::kObjectLost) << again.status().ToString();
+  EXPECT_EQ(GloballyScheduled(), scheduled) << "the kLost consumer was placed again";
+  EXPECT_EQ(TasksHeldByLiveNodes(), 0u) << "the kLost consumer was queued again";
+  EXPECT_TRUE(ended_lost());
 
   auto direct = ray.Get(put, 5'000'000);
   ASSERT_FALSE(direct.ok());

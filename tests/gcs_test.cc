@@ -469,18 +469,51 @@ TEST_F(TablesTest, CreatingTaskLink) {
   TaskId task = TaskId::FromRandom();
   Await([&](Gcs::WriteCallback done) { tables_.objects.RecordCreatingTaskAsync(obj, task, done); });
   EXPECT_EQ(*tables_.objects.GetCreatingTask(obj), task);
+  ASSERT_TRUE(tables_.objects.DeleteCreatingTask(obj).ok());
+  EXPECT_EQ(tables_.objects.GetCreatingTask(obj).status().code(), StatusCode::kKeyNotFound);
 }
 
 TEST_F(TablesTest, TaskSpecAndState) {
   TaskId task = TaskId::FromRandom();
   NodeId node = NodeId::FromRandom();
-  tables_.tasks.AddTask(task, "spec-bytes");
+  EXPECT_EQ(tables_.tasks.GetState(task).status().code(), StatusCode::kKeyNotFound);
+  tables_.tasks.AddTask(task, node, "spec-bytes");
   EXPECT_EQ(*tables_.tasks.GetSpec(task), "spec-bytes");
-  tables_.tasks.SetState(task, TaskState::kDone, node);
+  // Until a state is set, the task is pending on the node its record names.
   auto state = tables_.tasks.GetState(task);
+  ASSERT_TRUE(state.ok()) << state.status().ToString();
+  EXPECT_EQ(state->first, TaskState::kPending);
+  EXPECT_EQ(state->second, node);
+
+  // A placement elsewhere, then the end, each win over the record's node.
+  NodeId placed = NodeId::FromRandom();
+  tables_.tasks.SetState(task, TaskState::kPending, placed);
+  EXPECT_EQ(tables_.tasks.GetState(task)->second, placed);
+  tables_.tasks.SetState(task, TaskState::kDone, placed);
+  state = tables_.tasks.GetState(task);
   ASSERT_TRUE(state.ok());
   EXPECT_EQ(state->first, TaskState::kDone);
-  EXPECT_EQ(state->second, node);
+  EXPECT_EQ(state->second, placed);
+}
+
+TEST_F(TablesTest, ReturnNamesItsCreatingTask) {
+  TaskId task = TaskId::FromRandom();
+  ObjectId ret = ObjectIdForReturn(task, 1);
+  EXPECT_EQ(tables_.objects.GetCreatingTask(ret).status().code(), StatusCode::kKeyNotFound)
+      << "no lineage before the task is recorded";
+  Await([&](Gcs::WriteCallback done) {
+    tables_.tasks.AddTaskAsync(task, NodeId::FromRandom(), "spec-bytes", done);
+  });
+  EXPECT_EQ(gcs_.NumEntries(), 1u) << "the task record is the only key a plain task writes";
+  auto creating = tables_.objects.GetCreatingTask(ret);
+  ASSERT_TRUE(creating.ok()) << creating.status().ToString();
+  EXPECT_EQ(*creating, task);
+
+  // Once the record is collected, the return has no lineage either.
+  ASSERT_TRUE(tables_.tasks.DeleteTask(task).ok());
+  EXPECT_EQ(tables_.objects.GetCreatingTask(ret).status().code(), StatusCode::kKeyNotFound);
+  EXPECT_EQ(tables_.tasks.GetState(task).status().code(), StatusCode::kKeyNotFound);
+  EXPECT_EQ(gcs_.NumEntries(), 0u);
 }
 
 TEST_F(TablesTest, ActorLifecycleRecords) {

@@ -1,9 +1,10 @@
 // The one lineage writer: every submission records through the submitting
-// node's LineageBuffer. Checks what a record writes (the spec, the kPending
-// state, the creating-task links, and an actor's method-log entry and
-// creation spec), when WhenTaskDurable runs, that a cluster records each
-// SubmitTask exactly once, and what a classic-path submission costs the
-// caller in GCS commit rounds now that its record's writes share them.
+// node's LineageBuffer. Checks what a record makes readable (the spec, the
+// kPending state, the creating-task links, and an actor's method-log entry
+// and creation spec) and how many GCS writes that takes, when
+// WhenTaskDurable runs, that a cluster records each SubmitTask exactly once,
+// and what a classic-path submission costs the caller in GCS commit rounds
+// now that its record's writes share them.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -15,6 +16,7 @@
 #include <vector>
 
 #include "common/clock.h"
+#include "common/metrics.h"
 #include "common/sync.h"
 #include "runtime/api.h"
 #include "runtime/lineage_buffer.h"
@@ -66,17 +68,45 @@ class LineageBufferTest : public ::testing::Test {
     return log.ok() && std::find(log->begin(), log->end(), task) != log->end();
   }
 
+  // GCS writes that recording `spec` makes: every write goes through a
+  // shard's commit batcher, which counts it before running its callback, and
+  // nothing else writes to this bare GCS.
+  uint64_t WritesToRecord(const TaskSpec& spec) {
+    const auto& ops = ControlPlaneMetrics::Instance().gcs_batched_ops;
+    uint64_t before = ops.Value();
+    lineage_.Record(spec, node_);
+    lineage_.WaitTaskDurable(spec.id);
+    return ops.Value() - before;
+  }
+
   gcs::Gcs gcs_;
   gcs::GcsTables tables_;
   LineageBuffer lineage_;
   NodeId node_ = NodeId::FromRandom();
 };
 
+TEST_F(LineageBufferTest, PlainTaskRecordIsOneWrite) {
+  // The kPending state is read from the spec's record, which names the node,
+  // and each return's creating task from the return's own ID.
+  TaskSpec task;
+  task.id = TaskId::FromRandom();
+  task.function_name = "add_one";
+  task.num_returns = 2;
+  EXPECT_EQ(WritesToRecord(task), 1u);
+
+  auto spec = tables_.tasks.GetSpec(task.id);
+  ASSERT_TRUE(spec.ok()) << spec.status().ToString();
+  EXPECT_EQ(*spec, task.Serialize());
+  EXPECT_TRUE(PendingOn(task.id, node_));
+  EXPECT_TRUE(CreatedBy(task.ReturnId(0), task.id));
+  EXPECT_TRUE(CreatedBy(task.ReturnId(1), task.id));
+  EXPECT_EQ(lineage_.NumFailedWrites(), 0u);
+}
+
 TEST_F(LineageBufferTest, StatefulMethodEntriesAreReadableOnceDurable) {
   ActorId actor = ActorId::FromRandom();
   TaskSpec method = MakeMethod(actor, /*call_index=*/3, /*read_only=*/false);
-  lineage_.Record(method, node_);
-  lineage_.WaitTaskDurable(method.id);
+  EXPECT_EQ(WritesToRecord(method), 3u) << "its record, the cursor link and the method-log append";
 
   auto spec = tables_.tasks.GetSpec(method.id);
   ASSERT_TRUE(spec.ok()) << spec.status().ToString();
@@ -92,8 +122,7 @@ TEST_F(LineageBufferTest, StatefulMethodEntriesAreReadableOnceDurable) {
 TEST_F(LineageBufferTest, ReadOnlyMethodLinksNoCursorAndLogsNothing) {
   ActorId actor = ActorId::FromRandom();
   TaskSpec method = MakeMethod(actor, /*call_index=*/3, /*read_only=*/true);
-  lineage_.Record(method, node_);
-  lineage_.WaitTaskDurable(method.id);
+  EXPECT_EQ(WritesToRecord(method), 1u) << "its record";
 
   EXPECT_TRUE(tables_.tasks.GetSpec(method.id).ok());
   EXPECT_TRUE(PendingOn(method.id, node_));
@@ -111,8 +140,7 @@ TEST_F(LineageBufferTest, ActorCreationRecordsItsCreationSpec) {
   creation.actor = ActorId::FromRandom();
   creation.is_actor_creation = true;
   creation.actor_class = "Counter";
-  lineage_.Record(creation, node_);
-  lineage_.WaitTaskDurable(creation.id);
+  EXPECT_EQ(WritesToRecord(creation), 3u) << "its record, the cursor link and the creation spec";
 
   auto registered = tables_.actors.GetCreationSpec(creation.actor);
   ASSERT_TRUE(registered.ok()) << registered.status().ToString();

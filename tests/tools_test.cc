@@ -118,6 +118,31 @@ TEST(DiagnosisTest, DetectsStuckTasksAndDeadActors) {
   EXPECT_FALSE(d.Healthy());
 }
 
+TEST(DiagnosisTest, CollectedReturnWithNoLiveReplicaIsLost) {
+  // A return's creating task is read from its ID, and only a recorded task
+  // counts as lineage: once the record is collected and the last replica
+  // dies, nothing can rebuild the object.
+  Cluster cluster(ToolClusterConfig(2));
+  cluster.RegisterFunction("add_one", &AddOne);
+  NodeId doomed = cluster.AddNodeWithResources(ResourceSet{{"CPU", 2}, {"doomed", 2}});
+  Ray ray = Ray::OnNode(cluster, 0);
+  const ResourceSet pinned{{"CPU", 1}, {"doomed", 1}};
+  auto collected = ray.CallWithResources<int>("add_one", pinned, 1);
+  auto kept = ray.CallWithResources<int>("add_one", pinned, 2);
+  // Wait, not Get: a Get would copy the results to the caller's node.
+  ASSERT_EQ(ray.Wait(std::vector<ObjectRef<int>>{collected, kept}, 2, 10'000'000).size(), 2u);
+  ASSERT_EQ(cluster.CollectLineage({collected.id()}), 1u);
+
+  tools::ErrorDiagnoser diagnoser(&cluster);
+  EXPECT_TRUE(diagnoser.Examine({}, {}, {collected.id(), kept.id()}).lost_objects.empty())
+      << "both have a live replica";
+  cluster.KillNode(doomed);
+  auto d = diagnoser.Examine({}, {}, {collected.id(), kept.id()});
+  ASSERT_EQ(d.lost_objects.size(), 1u) << "the uncollected return can still be rebuilt";
+  EXPECT_EQ(d.lost_objects[0], collected.id());
+  EXPECT_NE(d.Render().find("UNRECOVERABLE object"), std::string::npos);
+}
+
 // --- lineage GC ---
 
 TEST(LineageGcTest, CollectsDoneTasksAndShrinksGcs) {
